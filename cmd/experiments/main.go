@@ -295,15 +295,15 @@ func main() {
 		}
 		out, err := r.run(*seed)
 		if err != nil {
-			cli.Fatal(1, "experiment-failed", obs.String("experiment", r.name), obs.Err(err))
+			cli.Fatal(1, "experiment-failed", trace.String("experiment", r.name), obs.Err(err))
 		}
 		fmt.Printf("=== %s ===\n%s\n", r.name, out)
-		lg.Info("experiment-done", obs.String("experiment", r.name))
+		lg.Info("experiment-done", trace.String("experiment", r.name))
 		ran++
 	}
 	if ran == 0 {
-		cli.Fatal(2, "no-experiment-matched", obs.String("run", *run),
-			obs.String("known", strings.Join(names, ", ")))
+		cli.Fatal(2, "no-experiment-matched", trace.String("run", *run),
+			trace.String("known", strings.Join(names, ", ")))
 	}
 	if err := flushTrace(); err != nil {
 		cli.Fatal(1, "trace-write-failed", obs.Err(err))

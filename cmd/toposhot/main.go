@@ -116,7 +116,7 @@ func main() {
 				lg.Error("dashboard-failed", obs.Err(err))
 			}
 		}()
-		lg.Info("dashboard-listening", obs.String("addr", *events))
+		lg.Info("dashboard-listening", trace.String("addr", *events))
 	}
 
 	grow := netgen.RopstenConfig.WithSeed(*seed).WithN(*n)
@@ -131,7 +131,7 @@ func main() {
 		grow = netgen.MainnetConfig.WithSeed(*seed)
 	case "":
 	default:
-		cli.Fatal(2, "unknown-preset", obs.String("preset", *preset))
+		cli.Fatal(2, "unknown-preset", trace.String("preset", *preset))
 	}
 	// An explicit -n rescales a preset (downsized smoke runs keep the
 	// preset's degree/leaf/monitor shape, like the bench harness).
@@ -154,7 +154,7 @@ func main() {
 	if *regions > 0 {
 		if *strat != string(strategy.MethodTopoShot) || *checkpoint != "" || *resumeFrom != "" {
 			cli.Fatal(2, "bad-flags",
-				obs.String("why", "-regions supports only the toposhot strategy and no -checkpoint/-resume"))
+				trace.String("why", "-regions supports only the toposhot strategy and no -checkpoint/-resume"))
 		}
 		cfg := experiments.ScaleCensusConfig{
 			Name: *preset, Grow: grow, Het: het, Seed: *seed,
@@ -185,7 +185,7 @@ func main() {
 	// included) plus the tracker snapshot, so -resume continues mid-campaign.
 	if *track {
 		if *strat != string(strategy.MethodTopoShot) {
-			cli.Fatal(2, "bad-flags", obs.String("why", "-track supports only the toposhot strategy"))
+			cli.Fatal(2, "bad-flags", trace.String("why", "-track supports only the toposhot strategy"))
 		}
 		runTracking(trackingFlags{
 			grow: grow, het: het, preset: *preset, seed: *seed, k: *k, lanes: *lanes,
@@ -214,18 +214,18 @@ func main() {
 			cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
 		}
 		if meta.Campaign == nil {
-			cli.Fatal(2, "bad-flags", obs.String("file", *resumeFrom),
-				obs.String("why", "a tracking checkpoint; resume it with -track"))
+			cli.Fatal(2, "bad-flags", trace.String("file", *resumeFrom),
+				trace.String("why", "a tracking checkpoint; resume it with -track"))
 		}
 		net, err = ethsim.RestoreNetworkLanes(blob, *lanes)
 		if err != nil {
-			cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom), obs.Err(err))
+			cli.Fatal(1, "restore-failed", trace.String("file", *resumeFrom), obs.Err(err))
 		}
 		supers := net.Supernodes()
 		if meta.Super < 0 || meta.Super >= len(supers) {
-			cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom),
-				obs.Int("super", int64(meta.Super)), obs.Int("have", int64(len(supers))),
-				obs.String("why", "supernode index out of range"))
+			cli.Fatal(1, "restore-failed", trace.String("file", *resumeFrom),
+				trace.Int("super", int64(meta.Super)), trace.Int("have", int64(len(supers))),
+				trace.String("why", "supernode index out of range"))
 		}
 		if tracer != nil {
 			net.SetTracer(tracer)
@@ -239,10 +239,10 @@ func main() {
 		for _, p := range meta.Back {
 			back[p.ID] = p.V
 		}
-		lg.Info("campaign-resumed", obs.String("file", *resumeFrom),
-			obs.Int("nodes", int64(len(net.Nodes()))), obs.Float("virtual_s", net.Now()),
-			obs.Int("batches_done", int64(resume.BatchesDone)),
-			obs.Int("edges", int64(len(resume.Detected))))
+		lg.Info("campaign-resumed", trace.String("file", *resumeFrom),
+			trace.Int("nodes", int64(len(net.Nodes()))), trace.Float("virtual_s", net.Now()),
+			trace.Int("batches_done", int64(resume.BatchesDone)),
+			trace.Int("edges", int64(len(resume.Detected))))
 	} else {
 		g := netgen.Grow(grow)
 		netCfg := ethsim.DefaultConfig(*seed)
@@ -262,8 +262,8 @@ func main() {
 		w.Start(0)
 		m = core.NewMeasurer(net, super, params)
 
-		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),
-			obs.Int("edges", int64(g.NumEdges())))
+		lg.Info("network-built", trace.Int("nodes", int64(g.NumNodes())),
+			trace.Int("edges", int64(g.NumEdges())))
 		pre := m.Preprocess(inst.IDs)
 		targets = pre.EligibleNodes(inst.IDs)
 		back = inst.Back
@@ -299,7 +299,7 @@ func main() {
 				return writeCheckpoint(*checkpoint, blob, meta)
 			}
 		}
-		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(*k)))
+		lg.Info("census-started", trace.Int("eligible", int64(len(targets))), trace.Int("k", int64(*k)))
 		res, err := m.MeasureNetworkResume(targets, *k, 144, resume, onBatch)
 		if err != nil {
 			cli.Fatal(1, "measurement-failed", obs.Err(err))
@@ -310,11 +310,11 @@ func main() {
 			eligible[id] = true
 		}
 		sc := core.ScoreAgainst(detected, truth, func(id types.NodeID) bool { return eligible[id] })
-		lg.Info("census-scored", obs.Float("virtual_h", res.Duration/3600),
-			obs.Int("calls", int64(res.Calls)), obs.String("score", sc.String()),
-			obs.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
+		lg.Info("census-scored", trace.Float("virtual_h", res.Duration/3600),
+			trace.Int("calls", int64(res.Calls)), trace.String("score", sc.String()),
+			trace.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
 	} else if *resumeFrom != "" || *checkpoint != "" {
-		cli.Fatal(2, "bad-flags", obs.String("why", "-checkpoint/-resume support only the toposhot strategy"))
+		cli.Fatal(2, "bad-flags", trace.String("why", "-checkpoint/-resume support only the toposhot strategy"))
 	} else {
 		s, err := strategy.NewMethod(strategy.Method(*strat), net, super, strategy.Config{TopoShot: params})
 		if err != nil {
@@ -326,16 +326,16 @@ func main() {
 				pairs = append(pairs, [2]types.NodeID{targets[i], targets[j]})
 			}
 		}
-		lg.Info("pairs-planned", obs.Int("pairs", int64(len(pairs))),
-			obs.Int("eligible", int64(len(targets))), obs.String("method", s.Name()))
+		lg.Info("pairs-planned", trace.Int("pairs", int64(len(pairs))),
+			trace.Int("eligible", int64(len(targets))), trace.String("method", s.Name()))
 		out, err := strategy.RunPairs(tracer, lg, net, s, pairs)
 		if err != nil {
 			cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
 		detected = out.Claimed
-		lg.Info("campaign-scored", obs.Float("virtual_h", out.VirtualSeconds/3600),
-			obs.String("score", out.Score(truth).String()),
-			obs.Int("probe_txs", int64(out.LedgerCost().Total())))
+		lg.Info("campaign-scored", trace.Float("virtual_h", out.VirtualSeconds/3600),
+			trace.String("score", out.Score(truth).String()),
+			trace.Int("probe_txs", int64(out.LedgerCost().Total())))
 	}
 	if err := flushTrace(); err != nil {
 		cli.Fatal(1, "trace-write-failed", obs.Err(err))
@@ -359,7 +359,7 @@ func openOutput(cli *obs.CLI, path string) (*bufio.Writer, func()) {
 	if path != "" {
 		f, err := os.Create(path)
 		if err != nil {
-			cli.Fatal(1, "output-create-failed", obs.String("file", path), obs.Err(err))
+			cli.Fatal(1, "output-create-failed", trace.String("file", path), obs.Err(err))
 		}
 		dst = f
 	}

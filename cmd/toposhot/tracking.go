@@ -7,6 +7,7 @@ import (
 	"toposhot/internal/experiments"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
+	"toposhot/internal/trace"
 	"toposhot/internal/tracker"
 	"toposhot/internal/types"
 )
@@ -63,8 +64,8 @@ func runTracking(f trackingFlags) {
 			f.cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
 		}
 		if meta.Tracking == nil {
-			f.cli.Fatal(2, "bad-flags", obs.String("file", f.resumeFrom),
-				obs.String("why", "a census-campaign checkpoint; resume it without -track"))
+			f.cli.Fatal(2, "bad-flags", trace.String("file", f.resumeFrom),
+				trace.String("why", "a census-campaign checkpoint; resume it without -track"))
 		}
 		back := make(map[types.NodeID]int, len(meta.Back))
 		for _, p := range meta.Back {
@@ -85,10 +86,10 @@ func runTracking(f trackingFlags) {
 			TrackerEther:     meta.Tracking.TrackerEther,
 			TrackerDuration:  meta.Tracking.TrackerDuration,
 		}
-		f.cli.Logger.Info("tracking-resumed", obs.String("file", f.resumeFrom),
-			obs.Int("ticks_done", int64(meta.Tracking.TicksDone)), obs.Int("ticks", int64(f.ticks)),
-			obs.Int("tracked_pairs", int64(len(meta.Tracking.State.Pairs))),
-			obs.Int("probe_txs", int64(meta.Tracking.TrackerTxs)))
+		f.cli.Logger.Info("tracking-resumed", trace.String("file", f.resumeFrom),
+			trace.Int("ticks_done", int64(meta.Tracking.TicksDone)), trace.Int("ticks", int64(f.ticks)),
+			trace.Int("tracked_pairs", int64(len(meta.Tracking.State.Pairs))),
+			trace.Int("probe_txs", int64(meta.Tracking.TrackerTxs)))
 	}
 
 	if f.checkpoint != "" {

@@ -71,7 +71,7 @@ func main() {
 
 	pol, ok := txpool.ClientByName(*client)
 	if !ok {
-		cli.Fatal(2, "unknown-client", obs.String("client", *client))
+		cli.Fatal(2, "unknown-client", trace.String("client", *client))
 	}
 	if *capacity > 0 {
 		pol = pol.WithCapacity(*capacity)
@@ -93,9 +93,9 @@ func main() {
 	if err != nil {
 		cli.Fatal(1, "start-failed", obs.Err(err))
 	}
-	lg.Info("listening", obs.String("addr", n.Addr()),
-		obs.Int("network", int64(*networkID)), obs.String("client", *client),
-		obs.Int("pool", int64(pol.Capacity)))
+	lg.Info("listening", trace.String("addr", n.Addr()),
+		trace.Int("network", int64(*networkID)), trace.String("client", *client),
+		trace.Int("pool", int64(pol.Capacity)))
 
 	// The daemon's event stream feeds a watchdog: a peer link going quiet or
 	// the frame budget blowing up surfaces as first-class warn events on the
@@ -130,7 +130,7 @@ func main() {
 			}
 		}()
 		defer srv.Close()
-		lg.Info("dashboard-listening", obs.String("addr", *metricsHTTP))
+		lg.Info("dashboard-listening", trace.String("addr", *metricsHTTP))
 	}
 
 	for _, p := range strings.Split(*peers, ",") {
@@ -139,9 +139,9 @@ func main() {
 			continue
 		}
 		if err := n.Dial(p); err != nil {
-			lg.Error("dial-failed", obs.String("peer", p), obs.Err(err))
+			lg.Error("dial-failed", trace.String("peer", p), obs.Err(err))
 		} else {
-			lg.Info("peered", obs.String("peer", p))
+			lg.Info("peered", trace.String("peer", p))
 		}
 	}
 
@@ -162,12 +162,12 @@ func main() {
 			total, pending, future := n.PoolStats()
 			s := reg.Snapshot()
 			lg.Info("status",
-				obs.Int("peers", int64(n.PeerCount())), obs.Int("pool", int64(total)),
-				obs.Int("pending", int64(pending)), obs.Int("future", int64(future)),
-				obs.Int("frames_in", s.Counters["node.frames.in"]),
-				obs.Int("frames_out", s.Counters["node.frames.out"]),
-				obs.Int("stall_drops", s.Counters["node.write_stall_drops"]),
-				obs.Int("idle_disconnects", s.Counters["node.idle_disconnects"]))
+				trace.Int("peers", int64(n.PeerCount())), trace.Int("pool", int64(total)),
+				trace.Int("pending", int64(pending)), trace.Int("future", int64(future)),
+				trace.Int("frames_in", s.Counters["node.frames.in"]),
+				trace.Int("frames_out", s.Counters["node.frames.out"]),
+				trace.Int("stall_drops", s.Counters["node.write_stall_drops"]),
+				trace.Int("idle_disconnects", s.Counters["node.idle_disconnects"]))
 		}
 	}
 }

@@ -456,9 +456,9 @@ func (m *Measurer) MeasureNetworkResume(nodes []types.NodeID, k, edgeBudget int,
 	// The span attr carries the trace cross-link: events and trace records
 	// of one campaign join on (scope clock, span id).
 	m.olog.Info(MsgCampaignStarted,
-		obs.Int("nodes", int64(len(nodes))), obs.Int("k", int64(k)),
-		obs.Int("pairs_total", int64(totalPairs)), obs.Int("batches", int64(len(plan))),
-		obs.Int("batches_done", int64(done)), obs.Int("span", int64(span.ID())))
+		trace.Int("nodes", int64(len(nodes))), trace.Int("k", int64(k)),
+		trace.Int("pairs_total", int64(totalPairs)), trace.Int("batches", int64(len(plan))),
+		trace.Int("batches_done", int64(done)), trace.Int("span", int64(span.ID())))
 
 	for ; done < len(plan); done++ {
 		b := plan[done]
@@ -478,9 +478,9 @@ func (m *Measurer) MeasureNetworkResume(nodes []types.NodeID, k, edgeBudget int,
 		}
 		span.SetAttr(trace.Int(trace.AttrDone, int64(out.PairsMeasured)))
 		m.olog.Debug(MsgBatchDone,
-			obs.Int("batch", int64(done+1)), obs.Int("batches", int64(len(plan))),
-			obs.Int("pairs_done", int64(out.PairsMeasured)),
-			obs.Int("detected", int64(out.Detected.Len())))
+			trace.Int("batch", int64(done+1)), trace.Int("batches", int64(len(plan))),
+			trace.Int("pairs_done", int64(out.PairsMeasured)),
+			trace.Int("detected", int64(out.Detected.Len())))
 		if onBatch != nil {
 			if err := onBatch(m.captureCampaignState(done+1, start, out)); err != nil {
 				return nil, fmt.Errorf("core: campaign checkpoint: %w", err)
@@ -490,9 +490,9 @@ func (m *Measurer) MeasureNetworkResume(nodes []types.NodeID, k, edgeBudget int,
 
 	out.Duration = m.net.Now() - start
 	m.olog.Info(MsgCampaignDone,
-		obs.Int("pairs", int64(out.PairsMeasured)), obs.Int("detected", int64(out.Detected.Len())),
-		obs.Int("calls", int64(out.Calls)), obs.Int("setup_fails", int64(out.SetupFails)),
-		obs.Float("virtual_s", out.Duration))
+		trace.Int("pairs", int64(out.PairsMeasured)), trace.Int("detected", int64(out.Detected.Len())),
+		trace.Int("calls", int64(out.Calls)), trace.Int("setup_fails", int64(out.SetupFails)),
+		trace.Float("virtual_s", out.Duration))
 	return out, nil
 }
 

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"strings"
 
-	"toposhot/internal/baseline"
 	"toposhot/internal/chain"
 	"toposhot/internal/core"
+	"toposhot/internal/discv"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/netgen"
 	"toposhot/internal/runner"
+	"toposhot/internal/strategy"
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
@@ -17,8 +18,14 @@ import (
 
 // AppAResult contrasts TxProbe and TopoShot on the same Ethereum network.
 type AppAResult struct {
-	Report baseline.CompareReport
+	Report AppAReport
 	Pairs  int
+}
+
+// AppAReport holds both methods' scores over the same node pairs.
+type AppAReport struct {
+	TxProbe  core.Score
+	TopoShot core.Score
 }
 
 // AppA reproduces the Appendix-A argument empirically: on an account-model
@@ -27,7 +34,7 @@ type AppAResult struct {
 // TopoShot's replacement-based isolation holds.
 func AppA(seed int64) (*AppAResult, error) {
 	v := buildValidationNet(seed, 60, netgen.Uniform(), 10, nil)
-	probe := baseline.NewTxProbe(v.net, v.super)
+	probe := strategy.NewTxProbe(v.net, v.super)
 	truth := core.EdgeSetOf(v.net.Edges())
 	rng := v.net.Engine().Rand()
 	var pairs [][2]types.NodeID
@@ -46,11 +53,52 @@ func AppA(seed int64) (*AppAResult, error) {
 			pairs = append(pairs, [2]types.NodeID{a, b})
 		}
 	}
-	rep, err := baseline.Compare(v.m, probe, pairs)
+	rep, err := compareTxProbe(v.m, probe, pairs)
 	if err != nil {
 		return nil, err
 	}
 	return &AppAResult{Report: rep, Pairs: len(pairs)}, nil
+}
+
+// compareTxProbe measures every pair with TxProbe and then TopoShot (the
+// per-pair interleaving keeps both methods on the same evolving network)
+// and scores both against the network's ground truth restricted to the
+// measured pairs. Pairs referencing nodes absent from the network are
+// rejected up front with a strategy.UnknownNodeError, before any probe.
+func compareTxProbe(m *core.Measurer, probe *strategy.TxProbe, pairs [][2]types.NodeID) (AppAReport, error) {
+	net := m.Network()
+	for _, pr := range pairs {
+		for _, id := range pr {
+			if net.Node(id) == nil {
+				return AppAReport{}, strategy.UnknownNodeError{ID: id}
+			}
+		}
+	}
+	truth := core.EdgeSetOf(net.Edges())
+	tpSet, tsSet, measuredTruth := core.NewEdgeSet(), core.NewEdgeSet(), core.NewEdgeSet()
+	for _, pr := range pairs {
+		c, err := probe.MeasurePair(pr[0], pr[1])
+		if err != nil {
+			return AppAReport{}, err
+		}
+		if c.Detected {
+			tpSet.Add(pr[0], pr[1])
+		}
+		got, err := m.MeasureOneLink(pr[0], pr[1])
+		if err != nil {
+			return AppAReport{}, err
+		}
+		if got {
+			tsSet.Add(pr[0], pr[1])
+		}
+		if truth.Has(pr[0], pr[1]) {
+			measuredTruth.Add(pr[0], pr[1])
+		}
+	}
+	return AppAReport{
+		TxProbe:  core.ScoreAgainst(tpSet, measuredTruth, nil),
+		TopoShot: core.ScoreAgainst(tsSet, measuredTruth, nil),
+	}, nil
 }
 
 // FormatAppA renders the comparison.
@@ -177,7 +225,21 @@ func FormatAppC(r *AppCResult) string {
 
 // W2Result is the inactive-edge crawl baseline.
 type W2Result struct {
-	Report baseline.InactiveEdgeReport
+	Report InactiveEdgeReport
+}
+
+// InactiveEdgeReport contrasts a W2 FIND_NODE crawl with the active-edge
+// ground truth.
+type InactiveEdgeReport struct {
+	InactiveEdges int
+	ActiveEdges   int
+	// Overlap counts inactive edges that are also active links.
+	Overlap int
+	// PrecisionAsActive is Overlap/InactiveEdges: how badly routing-table
+	// entries over-approximate the gossip topology.
+	PrecisionAsActive float64
+	// RecallOfActive is Overlap/ActiveEdges.
+	RecallOfActive float64
 }
 
 // W2Crawl runs the FIND_NODE inactive-edge measurement (Gao et al.,
@@ -186,8 +248,63 @@ type W2Result struct {
 // cannot recover what TopoShot measures.
 func W2Crawl(seed int64) *W2Result {
 	v := buildValidationNet(seed, 150, netgen.Uniform(), 10, nil)
-	rep := baseline.CrawlInactive(v.net, 4, seed)
-	return &W2Result{Report: rep}
+	return &W2Result{Report: crawlInactive(v.net, 4, seed)}
+}
+
+// crawlInactive builds a discovery system over the network's nodes, crawls
+// routing tables with FIND_NODE, and scores the result against the active
+// topology. The routing tables are populated independently of the active
+// links (real DHT state is discovery-driven), holding ~272 entries per node
+// versus ~50 active neighbors.
+func crawlInactive(net *ethsim.Network, lookups int, seed int64) InactiveEdgeReport {
+	var ids []types.NodeID
+	// superID is set only when a supernode exists: a zero-value sentinel
+	// would silently exclude a real node 0 (node ids are opaque).
+	var superID *types.NodeID
+	for _, nd := range net.Nodes() {
+		if nd.Config().Label == "supernode" {
+			id := nd.ID()
+			superID = &id
+			continue
+		}
+		ids = append(ids, nd.ID())
+	}
+	inactive := discv.NewSystem(ids, 8, 3, seed).CrawlInactiveEdges(lookups, seed+1)
+
+	activeSet := core.EdgeSetOf(net.Edges())
+	overlap := 0
+	for _, e := range inactive {
+		if activeSet.Has(e[0], e[1]) {
+			overlap++
+		}
+	}
+	rep := InactiveEdgeReport{
+		InactiveEdges: len(inactive),
+		// The supernode's instrumentation links are not part of the
+		// measured topology.
+		ActiveEdges: activeEdgesExcluding(activeSet, superID),
+		Overlap:     overlap,
+	}
+	if rep.InactiveEdges > 0 {
+		rep.PrecisionAsActive = float64(overlap) / float64(rep.InactiveEdges)
+	}
+	if rep.ActiveEdges > 0 {
+		rep.RecallOfActive = float64(overlap) / float64(rep.ActiveEdges)
+	}
+	return rep
+}
+
+// activeEdgesExcluding counts edges with neither endpoint equal to exclude;
+// a nil exclude counts every edge.
+func activeEdgesExcluding(s *core.EdgeSet, exclude *types.NodeID) int {
+	active := 0
+	for _, e := range s.Edges() {
+		if exclude != nil && (e[0] == *exclude || e[1] == *exclude) {
+			continue
+		}
+		active++
+	}
+	return active
 }
 
 // FormatW2 renders the crawl comparison.

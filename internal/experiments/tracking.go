@@ -11,6 +11,7 @@ import (
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
+	"toposhot/internal/trace"
 	"toposhot/internal/tracker"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
@@ -401,10 +402,10 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			}
 		}
 		lg.Info(msgTickDone,
-			obs.Int("tick", int64(tt.Tick)), obs.Int("planned", int64(rep.Planned)),
-			obs.Int("urgent", int64(rep.Urgent)), obs.Int("changed", int64(rep.Changed)),
-			obs.Int("failed", int64(rep.Failed)), obs.Float("recall", tt.Score.Recall()),
-			obs.Int("cum_txs", int64(tt.Txs)))
+			trace.Int("tick", int64(tt.Tick)), trace.Int("planned", int64(rep.Planned)),
+			trace.Int("urgent", int64(rep.Urgent)), trace.Int("changed", int64(rep.Changed)),
+			trace.Int("failed", int64(rep.Failed)), trace.Float("recall", tt.Score.Recall()),
+			trace.Int("cum_txs", int64(tt.Txs)))
 		tt.Net, tt.Tracker, tt.Run, tt.Back = nil, nil, nil, nil
 		out.Ticks = append(out.Ticks, tt)
 		recallSum += tt.Score.Recall()

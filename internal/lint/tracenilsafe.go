@@ -14,7 +14,7 @@ var analyzerTraceNilsafe = &Analyzer{
 
 var analyzerTraceSpanname = &Analyzer{
 	Name: "trace-spanname",
-	Doc:  "span and event names passed to StartSpan/Event must be compile-time constants",
+	Doc:  "span, event and event-log names (trace StartSpan/Event/Log, obs Debug/Info/Warn/Error/Fatal) must be compile-time constants",
 	Run:  runTraceSpanname,
 }
 
@@ -23,6 +23,10 @@ var analyzerTraceSpanname = &Analyzer{
 // weight. Nil checks that gate non-recording work (wiring a tracer into a
 // network, skipping lane construction) stay legal.
 var tracePkg = modulePrefix + "/internal/trace"
+
+// obsPkg is the event-log package; its logger methods forward their message
+// to trace as a record name.
+var obsPkg = modulePrefix + "/internal/obs"
 
 // traceRecorderType reports whether t is trace.Tracer or trace.Span
 // (possibly behind a pointer).
@@ -142,35 +146,94 @@ func runTraceNilsafe(pkg *Package) []Finding {
 	return findings
 }
 
+// nameSink is a recorder whose name argument becomes a trace record name:
+// trace's span/event recorders and the obs methods that forward their
+// message to trace.Tracer.Log.
+type nameSink struct {
+	pkg, recv, method string
+	arg               int // index of the name argument
+}
+
+var nameSinks = []nameSink{
+	{tracePkg, "Tracer", "StartSpan", 0},
+	{tracePkg, "Tracer", "Event", 0},
+	{tracePkg, "Tracer", "Log", 1},
+	{obsPkg, "Logger", "Debug", 0},
+	{obsPkg, "Logger", "Info", 0},
+	{obsPkg, "Logger", "Warn", 0},
+	{obsPkg, "Logger", "Error", 0},
+	{obsPkg, "Logger", "log", 1},
+	{obsPkg, "CLI", "Fatal", 1},
+}
+
+// sinkArg returns the name-argument index when obj is a name sink, else -1.
+func sinkArg(obj types.Object) int {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return -1
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return -1
+	}
+	n := recvNamed(sig.Recv().Type())
+	if n == nil || n.Obj().Pkg() == nil {
+		return -1
+	}
+	for _, s := range nameSinks {
+		if fn.Name() == s.method && n.Obj().Name() == s.recv && n.Obj().Pkg().Path() == s.pkg {
+			return s.arg
+		}
+	}
+	return -1
+}
+
+// runTraceSpanname requires every name sink's name argument to be a
+// compile-time constant. The one exception is a sink forwarding its own name
+// parameter to another sink (obs.Logger.Info → log → trace.Tracer.Log):
+// the obligation then rests on the outer sink's callers, which this rule
+// checks in turn, so a non-constant name has no unchecked path to a record.
 func runTraceSpanname(pkg *Package) []Finding {
 	var findings []Finding
 	info := pkg.Info
 	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
+		for _, decl := range file.Decls {
+			// forwarded is the enclosing sink's own name parameter, if any.
+			var forwarded types.Object
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				if obj := info.Defs[fd.Name]; obj != nil {
+					if i := sinkArg(obj); i >= 0 {
+						if params := obj.Type().(*types.Signature).Params(); i < params.Len() {
+							forwarded = params.At(i)
+						}
+					}
+				}
 			}
-			obj := calleeObject(info, call)
-			if obj == nil || objectPkgPath(obj) != tracePkg {
-				return true
-			}
-			if obj.Name() != "StartSpan" && obj.Name() != "Event" {
-				return true
-			}
-			sig, ok := obj.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
-				return true
-			}
-			if _, ok := traceRecorderType(sig.Recv().Type()); !ok {
-				return true
-			}
-			if tv, ok := info.Types[call.Args[0]]; !ok || tv.Value == nil {
-				findings = append(findings, report(pkg, call.Args[0], "trace-spanname",
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				obj := calleeObject(info, call)
+				if obj == nil {
+					return true
+				}
+				i := sinkArg(obj)
+				if i < 0 || i >= len(call.Args) {
+					return true
+				}
+				arg := call.Args[i]
+				if tv, ok := info.Types[arg]; ok && tv.Value != nil {
+					return true
+				}
+				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && forwarded != nil && info.Uses[id] == forwarded {
+					return true
+				}
+				findings = append(findings, report(pkg, arg, "trace-spanname",
 					obj.Name()+" name must be a compile-time constant so traces aggregate and lint stays greppable"))
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return findings
 }

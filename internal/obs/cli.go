@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"os"
+
+	"toposhot/internal/trace"
 )
 
 // CLI bundles the logging state every binary wires behind the shared
@@ -30,7 +32,8 @@ func OpenCLI(level, format, path string) *CLI {
 }
 
 // Close writes the deterministic event-log snapshot to Path, when one was
-// requested. Call it on every exit path (Fatal does).
+// requested, in trace's JSONL format. Call it on every exit path (Fatal
+// does).
 func (c *CLI) Close() error {
 	if c == nil || c.Path == "" {
 		return nil
@@ -48,8 +51,9 @@ func (c *CLI) Close() error {
 
 // Fatal records msg at error level — rendered plainly on stderr when logging
 // is off, so fatal errors are never silent — then writes the snapshot and
-// exits with code.
-func (c *CLI) Fatal(code int, msg string, fields ...Field) {
+// exits with code. msg must be a compile-time constant (trace-spanname lint
+// rule).
+func (c *CLI) Fatal(code int, msg string, fields ...trace.Attr) {
 	if c != nil && c.Logger != nil {
 		c.Logger.Error(msg, fields...)
 	} else {

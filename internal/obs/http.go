@@ -15,9 +15,11 @@ import (
 //
 //	GET /                same as /dashboard
 //	GET /dashboard       HTML status page (phase progress, ETA, cost burn)
-//	GET /events          live event stream: SSE by default, the full
-//	                     buffered log as JSONL with ?format=jsonl
-//	GET /log             buffered event log (JSONL; ?format=text for logfmt)
+//	GET /events          live event stream: SSE by default (one trace
+//	                     JSONL record line per data: payload), the full
+//	                     buffered log as trace JSONL with ?format=jsonl
+//	GET /log             buffered event log (trace JSONL; ?format=text for
+//	                     logfmt)
 //	GET /ledger          cost totals + per-phase table as JSON
 //	                     (?format=jsonl streams the raw records)
 //	GET /metrics         metrics snapshot (JSON; Prometheus text via
@@ -55,10 +57,7 @@ func (d *Dash) Handler() http.Handler {
 // replayed first, then live events until the client disconnects.
 func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		if err := d.Logger.Snapshot().WriteJSONL(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		d.serveLog(w, r) // the buffered snapshot, as /log serves it
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -70,8 +69,8 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	writeSSE := func(scopeName string, e Event) bool {
-		raw, err := json.Marshal(eventLine(scopeName, e))
+	writeSSE := func(lane int, r *trace.Record) bool {
+		raw, err := trace.MarshalRecord(lane, r)
 		if err != nil {
 			return false
 		}
@@ -82,22 +81,25 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	// Live events land in a buffered channel from the tap; slow clients
+	// Live records land in a buffered channel from the tap; slow clients
 	// drop (taps must never block the emitting goroutine).
-	live := make(chan Event, 256)
-	cancel := d.Logger.Tap(func(e Event) {
+	type laneRecord struct {
+		lane int
+		r    trace.Record
+	}
+	live := make(chan laneRecord, 256)
+	cancel := d.Logger.Tap(func(lane int, r trace.Record) {
 		select {
-		case live <- e:
+		case live <- laneRecord{lane, r}:
 		default:
 		}
 	})
 	defer cancel()
 
 	// Replay the buffered history first, then follow the live stream.
-	snap := d.Logger.Snapshot()
-	for _, sc := range snap.Scopes {
-		for _, e := range sc.Events {
-			if !writeSSE(sc.Name, e) {
+	for _, l := range d.Logger.Snapshot().Lanes {
+		for i := range l.Records {
+			if !writeSSE(l.ID, &l.Records[i]) {
 				return
 			}
 		}
@@ -107,8 +109,8 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case e := <-live:
-			if !writeSSE(d.Logger.ScopeName(e.Scope), e) {
+		case lr := <-live:
+			if !writeSSE(lr.lane, &lr.r) {
 				return
 			}
 		}
@@ -119,7 +121,7 @@ func (d *Dash) serveLog(w http.ResponseWriter, r *http.Request) {
 	snap := d.Logger.Snapshot()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := snap.WriteText(w); err != nil {
+		if err := writeText(w, snap); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 		return
@@ -262,8 +264,8 @@ es.onmessage=m=>{
   const e=JSON.parse(m.data);
   const div=document.createElement("div");
   if(e.level==="warn"||e.level==="error")div.className=e.level;
-  let line="t="+fmt(e.t,3)+" ["+(e.level||"info")+"] "+(e.msg||"");
-  for(const f of (e.fields||[]))line+=" "+f.k+"="+(f.s!==undefined?f.s:f.i!==undefined?f.i:f.f!==undefined?fmt(f.f):f.b);
+  let line="t="+fmt(e.start,3)+" ["+(e.level||"info")+"] "+(e.name||"");
+  for(const a of (e.attrs||[]))line+=" "+a.k+"="+(a.s!==undefined?a.s:a.i!==undefined?a.i:a.f!==undefined?fmt(a.f):a.b);
   div.textContent=line;
   pane.appendChild(div);
   while(pane.childNodes.length>400)pane.removeChild(pane.firstChild);

@@ -15,7 +15,7 @@ import (
 func testDash() (*Dash, *Logger) {
 	lg := New(Options{Level: LevelDebug})
 	lg.SetClock(func() float64 { return 1.0 })
-	lg.Info("campaign-started", Int("nodes", 30))
+	lg.Info("campaign-started", trace.Int("nodes", 30))
 	led := sampleLedger()
 	reg := metrics.NewRegistry()
 	reg.Counter("obs.test.counter").Add(3)
@@ -40,7 +40,7 @@ func TestDashEndpointsServe(t *testing.T) {
 		"/dashboard":                   "campaign observatory",
 		"/":                            "campaign observatory",
 		"/events?format=jsonl":         `"kind":"header"`,
-		"/log":                         `"msg":"campaign-started"`,
+		"/log":                         `"name":"campaign-started"`,
 		"/log?format=text":             "msg=campaign-started",
 		"/ledger":                      `"totals"`,
 		"/ledger?format=jsonl":         `"kind":"pair"`,
@@ -100,7 +100,7 @@ func TestDashLedgerJSONShape(t *testing.T) {
 
 func TestDashEventsSSEReplaysSnapshot(t *testing.T) {
 	d, lg := testDash()
-	lg.Info("second-event", Bool("ok", true))
+	lg.Info("second-event", trace.Bool("ok", true))
 	// A pre-cancelled context makes the SSE handler replay the buffered
 	// snapshot and return at the first live-stream select.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -113,8 +113,36 @@ func TestDashEventsSSEReplaysSnapshot(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	if !strings.Contains(body, "data: ") ||
-		!strings.Contains(body, `"msg":"campaign-started"`) ||
-		!strings.Contains(body, `"msg":"second-event"`) {
+		!strings.Contains(body, `"name":"campaign-started"`) ||
+		!strings.Contains(body, `"name":"second-event"`) {
 		t.Fatalf("SSE replay missing events:\n%s", body)
+	}
+	// Each data: payload is one trace JSONL record line, the shape the
+	// dashboard's event pane reads (name, level, start, attrs).
+	var first string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "data: ") {
+			first = strings.TrimPrefix(line, "data: ")
+			break
+		}
+	}
+	var ev struct {
+		Kind  string  `json:"kind"`
+		Name  string  `json:"name"`
+		Level string  `json:"level"`
+		Start float64 `json:"start"`
+		Attrs []struct {
+			K string `json:"k"`
+			I *int64 `json:"i"`
+		} `json:"attrs"`
+	}
+	if err := json.Unmarshal([]byte(first), &ev); err != nil {
+		t.Fatalf("SSE payload %q: %v", first, err)
+	}
+	if ev.Kind != "event" || ev.Name != "campaign-started" || ev.Level != "info" || ev.Start != 1 {
+		t.Fatalf("first SSE record = %+v", ev)
+	}
+	if len(ev.Attrs) != 1 || ev.Attrs[0].K != "nodes" || ev.Attrs[0].I == nil || *ev.Attrs[0].I != 30 {
+		t.Fatalf("first SSE record attrs = %+v", ev.Attrs)
 	}
 }

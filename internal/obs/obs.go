@@ -1,40 +1,48 @@
-// Package obs is the repository's campaign observability subsystem: a
-// deterministic structured event log, a probe cost-attribution ledger, a
-// stream-consuming watchdog, and the live HTTP dashboard that serves all of
-// them — unifying what internal/metrics ("how many"), internal/trace ("where
-// did the time go"), and core.Ledger ("what would it cost") record under one
-// campaign-scoped stream an operator can watch mid-run.
+// Package obs is the repository's campaign event log and what is built on
+// it: leveled structured events recorded as internal/trace event records,
+// a probe cost-attribution ledger, a stream-consuming watchdog, and the live
+// HTTP dashboard that serves them next to the metrics registry and the
+// tracer.
+//
+// An event is a trace.Record of KindEvent whose Severity carries its level;
+// each logger scope is a lane of the log's own trace sink, separate from the
+// process tracer, so the event log never shares a file with -trace. The
+// ring, the snapshot, the attribute type and the JSONL codec are all
+// trace's; this package adds level filtering, the live stderr sink and the
+// taps the watchdog and the dashboard's SSE stream follow.
 //
 // Design constraints, in order (the same contract as internal/trace):
 //
 //   - Determinism. Recorded timestamps come from the engine's virtual clock —
-//     never time.Now() — and every event carries a per-scope monotonic
+//     never time.Now() — and every event carries its lane's monotonic
 //     sequence number. The deterministic artifact is the buffered Snapshot
-//     (ordered by scope id, then seq); same-seed runs serialize it to
-//     byte-identical JSONL at any -parallel/-lanes width, provided scopes are
-//     created before any parallel fan-out (the sweepLanes convention). The
-//     optional live sink is arrival-ordered and operator-facing only.
+//     (lanes in id order, records in seq order); same-seed runs serialize it
+//     to byte-identical JSONL at any -parallel/-lanes width, provided scopes
+//     are created before any parallel fan-out (the sweepLanes convention).
+//     The optional live sink is arrival-ordered and operator-facing only.
 //   - Nil safety. A nil *Logger and a nil *Ledger no-op every method behind a
 //     single branch, so call sites never guard — the same convention the
 //     metrics-nilsafe and trace-nilsafe lint rules enforce for their packages.
-//   - Zero dependencies. Standard library only, plus the repository's own
-//     metrics/trace/types leaves, so every layer can import it.
+//   - Constant names. Event messages are record names, so the trace-spanname
+//     lint rule checks Debug/Info/Warn/Error call sites exactly like
+//     StartSpan/Event ones.
 //
 // Typical wiring:
 //
 //	lg, _ := obs.NewCLI("info", "text", os.Stderr)
 //	obs.Enable(lg)                      // measurers self-wire, like metrics
-//	lg.Info("campaign-started", obs.Int("nodes", 30))
+//	lg.Info("campaign-started", trace.Int("nodes", 30))
 //	...
 //	_ = lg.Snapshot().WriteJSONL(f)     // the deterministic artifact
 package obs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"toposhot/internal/trace"
 )
 
 // Level orders event severities; events below a logger's level are dropped.
@@ -53,36 +61,27 @@ const (
 	LevelOff
 )
 
+// severity is the level as the trace record carries it.
+func (l Level) severity() trace.Severity { return trace.Severity(l) + trace.SeverityDebug }
+
 // ParseLevel parses the -log-level flag values debug|info|warn|error|off.
 func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	case "off":
+	if s == "off" {
 		return LevelOff, nil
 	}
-	return LevelOff, fmt.Errorf("obs: unknown level %q (want debug|info|warn|error|off)", s)
+	sev, err := trace.ParseSeverity(s)
+	if err != nil {
+		return LevelOff, fmt.Errorf("obs: unknown level %q (want debug|info|warn|error|off)", s)
+	}
+	return Level(sev - trace.SeverityDebug), nil
 }
 
 // String renders the level as its flag spelling.
 func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
+	if l >= LevelOff {
+		return "off"
 	}
-	return "off"
+	return l.severity().String()
 }
 
 // Format selects the live-sink rendering.
@@ -91,7 +90,7 @@ type Format uint8
 const (
 	// FormatText is the human logfmt-style line format (-log-format text).
 	FormatText Format = iota
-	// FormatJSONL renders each live event as one JSON line.
+	// FormatJSONL renders each live event as its trace JSONL record line.
 	FormatJSONL
 )
 
@@ -106,115 +105,20 @@ func ParseFormat(s string) (Format, error) {
 	return FormatText, fmt.Errorf("obs: unknown format %q (want text|jsonl)", s)
 }
 
-// fieldKind discriminates Field payloads.
-type fieldKind uint8
-
-const (
-	fieldString fieldKind = iota
-	fieldInt
-	fieldFloat
-	fieldBool
-)
-
-// Field is one typed event attribute. Construct with String, Int, Float,
-// Bool, or Err; the zero value is an empty string field.
-type Field struct {
-	Key  string
-	kind fieldKind
-	str  string
-	num  int64
-	f    float64
-}
-
-// String returns a string-valued field.
-func String(key, v string) Field { return Field{Key: key, kind: fieldString, str: v} }
-
-// Int returns an integer-valued field.
-func Int(key string, v int64) Field { return Field{Key: key, kind: fieldInt, num: v} }
-
-// Float returns a float-valued field.
-func Float(key string, v float64) Field { return Field{Key: key, kind: fieldFloat, f: v} }
-
-// Bool returns a boolean field.
-func Bool(key string, v bool) Field {
-	var n int64
-	if v {
-		n = 1
-	}
-	return Field{Key: key, kind: fieldBool, num: n}
-}
-
-// Err returns the conventional "err" field for an error value.
-func Err(err error) Field {
+// Err returns the conventional "err" attribute for an error value.
+func Err(err error) trace.Attr {
 	if err == nil {
-		return String("err", "")
+		return trace.String("err", "")
 	}
-	return String("err", err.Error())
-}
-
-// Value returns the field's payload as an interface value (for export).
-func (f Field) Value() interface{} {
-	switch f.kind {
-	case fieldInt:
-		return f.num
-	case fieldFloat:
-		return f.f
-	case fieldBool:
-		return f.num != 0
-	}
-	return f.str
-}
-
-// maxFields bounds the fields carried per event; extras are dropped silently.
-const maxFields = 8
-
-// setField inserts or overwrites a field in a fixed field array.
-func setField(fields *[maxFields]Field, n int, f Field) int {
-	for i := 0; i < n; i++ {
-		if fields[i].Key == f.Key {
-			fields[i] = f
-			return n
-		}
-	}
-	if n < maxFields {
-		fields[n] = f
-		return n + 1
-	}
-	return n
-}
-
-// Event is one structured log record as it sits in a scope's ring and in
-// snapshots. Time is virtual-clock seconds; Seq is the scope-local monotonic
-// sequence number — together they give events a strict, replayable total
-// order within a scope.
-type Event struct {
-	Scope   int
-	Seq     uint64
-	Time    float64
-	Level   Level
-	Msg     string
-	NFields int
-	Fields  [maxFields]Field
-}
-
-// FieldList returns the event's fields as a slice view.
-func (e *Event) FieldList() []Field { return e.Fields[:e.NFields] }
-
-// Field returns the field with the given key, or false.
-func (e *Event) Field(key string) (Field, bool) {
-	for i := 0; i < e.NFields; i++ {
-		if e.Fields[i].Key == key {
-			return e.Fields[i], true
-		}
-	}
-	return Field{}, false
+	return trace.String("err", err.Error())
 }
 
 // Options configures a logger.
 type Options struct {
 	// Level is the minimum severity recorded; LevelOff yields a nil logger.
 	Level Level
-	// Capacity is the per-scope ring size in events; 0 means DefaultCapacity.
+	// Capacity is the per-scope ring size in events; 0 means
+	// trace.DefaultCapacity.
 	Capacity int
 	// Live, when non-nil, receives every event as it happens, in arrival
 	// order (non-deterministic under parallelism; operator-facing only).
@@ -223,61 +127,46 @@ type Options struct {
 	LiveFormat Format
 }
 
-// DefaultCapacity is the per-scope ring size (events) when Options.Capacity
-// is zero. Long campaigns wrap and keep the most recent window, counted in
-// Dropped — deterministically, since each scope wraps on its own stream.
-const DefaultCapacity = 8192
-
-// sink is the shared state behind a logger's scope views.
+// sink is the live state shared by a logger's scope views; the recorded
+// events live in the scopes' trace lanes.
 type sink struct {
 	level Level
-	cap   int
-
-	mu     sync.Mutex
-	scopes []*scope
-	nextID int
 
 	liveMu     sync.Mutex
 	live       io.Writer
 	liveFormat Format
-	taps       []func(Event)
+	// taps is copy-on-write: emit iterates the slice it read under liveMu
+	// after releasing the lock, so Tap and its cancel never write into a
+	// backing array a reader may hold.
+	taps    []tap
+	nextTap int
 }
 
-// scope is one recording track. All mutation happens under mu so live HTTP
-// snapshots can read a scope another goroutine is writing.
-type scope struct {
-	mu    sync.Mutex
-	id    int
-	name  string
-	clock func() float64
-
-	ring    []Event
-	n       uint64 // events ever written; slot = (n-1) % cap
-	dropped uint64
-	seq     uint64
+// tap is one registered live-event callback.
+type tap struct {
+	id int
+	fn func(lane int, r trace.Record)
 }
 
-// Logger is a scope view over a shared event-log sink, optionally carrying
-// bound context fields (With). The zero of its pointer type is the disabled
-// logger: every method on a nil *Logger is a no-op behind one branch.
+// Logger is a scope view over a shared event log: one lane of the log's own
+// trace sink. The zero of its pointer type is the disabled logger: every
+// method on a nil *Logger is a no-op behind one branch.
 type Logger struct {
-	s     *sink
-	sc    *scope
-	bound []Field
+	s    *sink
+	tr   *trace.Tracer // this scope's lane
+	name string
 }
 
 // New returns a logger recording at the given level, viewing a fresh sink's
-// root scope (id 0, "main"). A LevelOff logger is returned as nil, keeping
+// root scope (lane 0, "main"). A LevelOff logger is returned as nil, keeping
 // the whole instrumentation tree on the zero-cost path.
 func New(o Options) *Logger {
 	if o.Level >= LevelOff {
 		return nil
 	}
-	if o.Capacity <= 0 {
-		o.Capacity = DefaultCapacity
-	}
-	s := &sink{level: o.Level, cap: o.Capacity, live: o.Live, liveFormat: o.LiveFormat}
-	return s.newScope("main", nil)
+	tr := trace.New(trace.Options{Level: trace.LevelMeasure, Deterministic: true, Capacity: o.Capacity})
+	s := &sink{level: o.Level, live: o.Live, liveFormat: o.LiveFormat}
+	return &Logger{s: s, tr: tr, name: "main"}
 }
 
 // NewCLI builds a logger from the shared -log-level/-log-format CLI flag
@@ -295,42 +184,16 @@ func NewCLI(level, format string, w io.Writer) (*Logger, error) {
 	return New(Options{Level: lv, Live: w, LiveFormat: fm}), nil
 }
 
-func (s *sink) newScope(name string, clock func() float64) *Logger {
-	s.mu.Lock()
-	sc := &scope{
-		id:    s.nextID,
-		name:  name,
-		clock: clock,
-		ring:  make([]Event, s.cap),
-	}
-	s.nextID++
-	s.scopes = append(s.scopes, sc)
-	s.mu.Unlock()
-	return &Logger{s: s, sc: sc}
-}
-
-// Scope creates a new recording track on the logger's sink and returns a
-// view of it. Scope ids are assigned in creation order; create scopes before
-// a parallel fan-out to keep ids (and therefore snapshot order)
-// deterministic. clock supplies the scope's virtual time; nil records zeros
-// until SetClock. On a nil logger, Scope returns nil.
+// Scope creates a new recording track (a lane) on the logger's sink and
+// returns a view of it. Scope ids are assigned in creation order; create
+// scopes before a parallel fan-out to keep ids (and therefore snapshot
+// order) deterministic. clock supplies the scope's virtual time; nil records
+// zeros until SetClock. On a nil logger, Scope returns nil.
 func (l *Logger) Scope(name string, clock func() float64) *Logger {
 	if l == nil {
 		return nil
 	}
-	return l.s.newScope(name, clock)
-}
-
-// With returns a logger view carrying additional bound fields, prepended to
-// every event it records. The view shares the receiver's scope.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	bound := make([]Field, 0, len(l.bound)+len(fields))
-	bound = append(bound, l.bound...)
-	bound = append(bound, fields...)
-	return &Logger{s: l.s, sc: l.sc, bound: bound}
+	return &Logger{s: l.s, tr: l.tr.Lane(name, clock), name: name}
 }
 
 // SetClock binds the scope to a virtual clock (typically Network.Now). It
@@ -340,9 +203,7 @@ func (l *Logger) SetClock(clock func() float64) {
 	if l == nil {
 		return
 	}
-	l.sc.mu.Lock()
-	l.sc.clock = clock
-	l.sc.mu.Unlock()
+	l.tr.SetClock(clock)
 }
 
 // Level returns the minimum recorded severity; LevelOff on a nil logger.
@@ -353,184 +214,88 @@ func (l *Logger) Level() Level {
 	return l.s.level
 }
 
-// LogsAt reports whether events at the given level are kept.
-func (l *Logger) LogsAt(lv Level) bool {
-	return l != nil && lv != LevelOff && lv >= l.s.level
-}
-
 // ScopeName returns the name of the scope with the given id, or "".
 func (l *Logger) ScopeName(id int) string {
 	if l == nil {
 		return ""
 	}
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	for _, sc := range l.s.scopes {
-		if sc.id == id {
-			return sc.name
-		}
-	}
-	return ""
+	return l.tr.LaneName(id)
 }
 
 // Tap registers a live-event callback (watchdogs, SSE hubs) and returns its
-// cancel function. Callbacks run synchronously on the emitting goroutine, in
-// arrival order; they must not block. On a nil logger Tap returns a no-op
-// cancel.
-func (l *Logger) Tap(fn func(Event)) (cancel func()) {
+// cancel function. Callbacks get the scope id and a copy of the record; they
+// run synchronously on the emitting goroutine, in arrival order, and must
+// not block. On a nil logger Tap returns a no-op cancel.
+func (l *Logger) Tap(fn func(lane int, r trace.Record)) (cancel func()) {
 	if l == nil || fn == nil {
 		return func() {}
 	}
 	s := l.s
 	s.liveMu.Lock()
-	s.taps = append(s.taps, fn)
-	idx := len(s.taps) - 1
+	s.nextTap++
+	id := s.nextTap
+	s.taps = append(s.taps[:len(s.taps):len(s.taps)], tap{id: id, fn: fn})
 	s.liveMu.Unlock()
 	return func() {
 		s.liveMu.Lock()
-		s.taps[idx] = nil
+		for i, t := range s.taps {
+			if t.id == id {
+				s.taps = append(s.taps[:i:i], s.taps[i+1:]...)
+				break
+			}
+		}
 		s.liveMu.Unlock()
 	}
 }
 
-func (sc *scope) now() float64 {
-	if sc.clock == nil {
-		return 0
-	}
-	return sc.clock()
-}
-
-// push appends an event to the ring, dropping the oldest on wrap.
-func (sc *scope) push(e Event) {
-	slot := sc.n % uint64(len(sc.ring))
-	if sc.n >= uint64(len(sc.ring)) {
-		sc.dropped++
-	}
-	sc.ring[slot] = e
-	sc.n++
-}
-
-// Debug records an event at LevelDebug.
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
+// Debug records an event at LevelDebug. msg must be a compile-time constant
+// (trace-spanname lint rule).
+func (l *Logger) Debug(msg string, fields ...trace.Attr) { l.log(LevelDebug, msg, fields) }
 
 // Info records an event at LevelInfo.
-func (l *Logger) Info(msg string, fields ...Field) { l.log(LevelInfo, msg, fields) }
+func (l *Logger) Info(msg string, fields ...trace.Attr) { l.log(LevelInfo, msg, fields) }
 
 // Warn records an event at LevelWarn.
-func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, fields) }
+func (l *Logger) Warn(msg string, fields ...trace.Attr) { l.log(LevelWarn, msg, fields) }
 
 // Error records an event at LevelError.
-func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
+func (l *Logger) Error(msg string, fields ...trace.Attr) { l.log(LevelError, msg, fields) }
 
-func (l *Logger) log(lv Level, msg string, fields []Field) {
+func (l *Logger) log(lv Level, msg string, fields []trace.Attr) {
 	if l == nil || lv < l.s.level {
 		return
 	}
-	sc := l.sc
-	sc.mu.Lock()
-	sc.seq++
-	ev := Event{Scope: sc.id, Seq: sc.seq, Time: sc.now(), Level: lv, Msg: msg}
-	for _, f := range l.bound {
-		ev.NFields = setField(&ev.Fields, ev.NFields, f)
-	}
-	for _, f := range fields {
-		ev.NFields = setField(&ev.Fields, ev.NFields, f)
-	}
-	sc.push(ev)
-	name := sc.name
-	sc.mu.Unlock()
-	l.s.emit(name, ev)
+	r := l.tr.Log(lv.severity(), msg, fields...)
+	l.s.emit(l.tr.LaneID(), l.name, &r)
 }
 
-// emit fans one event out to the live sink and the registered taps, in
-// arrival order under one lock (operator path; never part of the
-// deterministic artifact).
-func (s *sink) emit(scopeName string, ev Event) {
+// emit fans one record out to the live sink and the registered taps, in
+// arrival order (operator path; never part of the deterministic artifact).
+func (s *sink) emit(lane int, laneName string, r *trace.Record) {
 	s.liveMu.Lock()
 	if s.live != nil {
 		if s.liveFormat == FormatJSONL {
-			writeEventJSON(s.live, scopeName, ev)
+			writeRecordJSON(s.live, lane, r)
 		} else {
-			writeEventText(s.live, scopeName, ev)
+			writeRecordText(s.live, laneName, r)
 		}
 	}
 	taps := s.taps
 	s.liveMu.Unlock()
-	for _, fn := range taps {
-		if fn != nil {
-			fn(ev)
-		}
+	for _, t := range taps {
+		t.fn(lane, *r)
 	}
 }
 
-// ScopeSnapshot is one scope's events in a Log snapshot.
-type ScopeSnapshot struct {
-	ID      int
-	Name    string
-	Dropped uint64
-	Events  []Event
-}
-
-// Log is a copied, exportable snapshot of the event log: scopes in id order,
-// events in sequence order. Two same-seed runs produce identical Logs at any
-// parallelism width when scopes were created before the fan-out.
-type Log struct {
-	Scopes []ScopeSnapshot
-}
-
-// Snapshot copies the sink's current state. Safe to call while scopes are
+// Snapshot copies the event log into a trace snapshot: scopes as lanes in
+// id order, events in sequence order. Safe to call while scopes are
 // recording. Scopes with no events are omitted, so pre-created-but-unused
-// scopes never perturb exports. A nil logger snapshots to an empty log.
-func (l *Logger) Snapshot() *Log {
-	out := &Log{}
+// scopes never perturb exports. A nil logger snapshots to an empty trace.
+func (l *Logger) Snapshot() *trace.Trace {
 	if l == nil {
-		return out
+		return &trace.Trace{}
 	}
-	l.s.mu.Lock()
-	scopes := append([]*scope(nil), l.s.scopes...)
-	l.s.mu.Unlock()
-	for _, sc := range scopes {
-		sc.mu.Lock()
-		ss := ScopeSnapshot{ID: sc.id, Name: sc.name, Dropped: sc.dropped}
-		k := sc.n
-		if k > uint64(len(sc.ring)) {
-			k = uint64(len(sc.ring))
-		}
-		if k > 0 {
-			ss.Events = make([]Event, 0, k)
-			start := sc.n - k
-			for i := uint64(0); i < k; i++ {
-				ss.Events = append(ss.Events, sc.ring[(start+i)%uint64(len(sc.ring))])
-			}
-		}
-		sc.mu.Unlock()
-		if len(ss.Events) == 0 {
-			continue
-		}
-		out.Scopes = append(out.Scopes, ss)
-	}
-	// Scopes were collected in creation (= id) order; no sort needed, but a
-	// snapshot must never depend on that invariant silently breaking.
-	for i := 1; i < len(out.Scopes); i++ {
-		if out.Scopes[i].ID < out.Scopes[i-1].ID {
-			out.Scopes[i], out.Scopes[i-1] = out.Scopes[i-1], out.Scopes[i]
-		}
-	}
-	return out
-}
-
-// CampaignID derives the deterministic campaign correlation id events and
-// ledger records carry: a stable function of the campaign's name and seed,
-// never of wall time or process identity.
-func CampaignID(name string, seed int64) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, name)
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(seed) >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	return fmt.Sprintf("c-%016x", h.Sum64())
+	return l.tr.Snapshot()
 }
 
 // enabled is the process-wide default logger consulted by subsystem
@@ -541,10 +306,6 @@ var enabled atomic.Pointer[Logger]
 // Enable installs l as the process default logger. Constructors that run
 // after this call wire themselves to it. Passing nil turns the default off.
 func Enable(l *Logger) {
-	if l == nil {
-		enabled.Store(nil)
-		return
-	}
 	enabled.Store(l)
 }
 

@@ -6,30 +6,26 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"toposhot/internal/trace"
 )
 
 func TestNilLoggerNoops(t *testing.T) {
 	var lg *Logger
-	lg.Info("ignored", Int("x", 1))
+	lg.Info("ignored", trace.Int("x", 1))
 	lg.Error("ignored")
 	lg.SetClock(func() float64 { return 1 })
 	if got := lg.Scope("child", nil); got != nil {
 		t.Fatalf("nil.Scope = %v, want nil", got)
 	}
-	if got := lg.With(Int("x", 1)); got != nil {
-		t.Fatalf("nil.With = %v, want nil", got)
-	}
 	if lg.Level() != LevelOff {
 		t.Fatalf("nil.Level = %v, want off", lg.Level())
 	}
-	if lg.LogsAt(LevelError) {
-		t.Fatal("nil.LogsAt(error) = true")
-	}
-	cancel := lg.Tap(func(Event) {})
+	cancel := lg.Tap(func(int, trace.Record) {})
 	cancel()
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 0 {
-		t.Fatalf("nil snapshot has %d scopes", len(snap.Scopes))
+	if len(snap.Lanes) != 0 {
+		t.Fatalf("nil snapshot has %d scopes", len(snap.Lanes))
 	}
 	var buf bytes.Buffer
 	if err := snap.WriteJSONL(&buf); err != nil {
@@ -71,14 +67,13 @@ func TestLevelFiltering(t *testing.T) {
 	lg.Warn("w")
 	lg.Error("e")
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 1 || len(snap.Scopes[0].Events) != 2 {
+	if len(snap.Lanes) != 1 || len(snap.Lanes[0].Records) != 2 {
 		t.Fatalf("snapshot = %+v, want 2 events in 1 scope", snap)
 	}
-	if snap.Scopes[0].Events[0].Msg != "w" || snap.Scopes[0].Events[1].Msg != "e" {
-		t.Fatalf("events = %+v", snap.Scopes[0].Events)
-	}
-	if !lg.LogsAt(LevelError) || lg.LogsAt(LevelInfo) {
-		t.Fatal("LogsAt disagrees with filtering")
+	evs := snap.Lanes[0].Records
+	if evs[0].Name != "w" || evs[0].Severity != trace.SeverityWarn ||
+		evs[1].Name != "e" || evs[1].Severity != trace.SeverityError {
+		t.Fatalf("events = %+v", evs)
 	}
 }
 
@@ -87,67 +82,54 @@ func TestClockSeqAndFields(t *testing.T) {
 	lg := New(Options{Level: LevelDebug})
 	lg.SetClock(func() float64 { return now })
 	now = 1.5
-	lg.Info("first", Int("n", 7), String("s", "x"), Bool("ok", true), Float("f", 0.5))
+	lg.Info("first", trace.Int("n", 7), trace.String("s", "x"), trace.Bool("ok", true), trace.Float("f", 0.5))
 	now = 2.5
-	lg.Info("second", Int("n", 8), Int("n", 9)) // duplicate key overwrites
-	ev := lg.Snapshot().Scopes[0].Events
+	lg.Info("second", trace.Int("n", 8), trace.Int("n", 9)) // duplicate key overwrites
+	ev := lg.Snapshot().Lanes[0].Records
 	if ev[0].Seq != 1 || ev[1].Seq != 2 {
 		t.Fatalf("seqs = %d, %d", ev[0].Seq, ev[1].Seq)
 	}
-	if ev[0].Time != 1.5 || ev[1].Time != 2.5 {
-		t.Fatalf("times = %g, %g", ev[0].Time, ev[1].Time)
+	if ev[0].Start != 1.5 || ev[1].Start != 2.5 || ev[0].Kind != trace.KindEvent {
+		t.Fatalf("times = %g, %g", ev[0].Start, ev[1].Start)
 	}
-	if f, ok := ev[0].Field("n"); !ok || f.Value() != int64(7) {
+	if f, ok := ev[0].Attr("n"); !ok || f.Value() != int64(7) {
 		t.Fatalf("field n = %+v, %v", f, ok)
 	}
-	if len(ev[0].FieldList()) != 4 {
-		t.Fatalf("got %d fields", len(ev[0].FieldList()))
+	if len(ev[0].AttrList()) != 4 {
+		t.Fatalf("got %d fields", len(ev[0].AttrList()))
 	}
-	if f, _ := ev[1].Field("n"); f.Value() != int64(9) {
+	if f, _ := ev[1].Attr("n"); f.Value() != int64(9) {
 		t.Fatalf("duplicate key kept %v, want 9", f.Value())
-	}
-}
-
-func TestWithBoundFields(t *testing.T) {
-	lg := New(Options{Level: LevelInfo})
-	cl := lg.With(String("campaign", "c-1")).With(Int("phase", 2))
-	cl.Info("probe", Bool("ok", true))
-	ev := lg.Snapshot().Scopes[0].Events[0]
-	if f, ok := ev.Field("campaign"); !ok || f.Value() != "c-1" {
-		t.Fatalf("campaign = %+v, %v", f, ok)
-	}
-	if f, ok := ev.Field("phase"); !ok || f.Value() != int64(2) {
-		t.Fatalf("phase = %+v, %v", f, ok)
-	}
-	if f, ok := ev.Field("ok"); !ok || f.Value() != true {
-		t.Fatalf("ok = %+v, %v", f, ok)
 	}
 }
 
 func TestFieldOverflowDropsExtras(t *testing.T) {
 	lg := New(Options{Level: LevelInfo})
-	fields := make([]Field, 0, maxFields+3)
+	const maxFields = 8
+	fields := make([]trace.Attr, 0, maxFields+3)
 	for i := 0; i < maxFields+3; i++ {
-		fields = append(fields, Int(fmt.Sprintf("k%d", i), int64(i)))
+		fields = append(fields, trace.Int(fmt.Sprintf("k%d", i), int64(i)))
 	}
 	lg.Info("full", fields...)
-	ev := lg.Snapshot().Scopes[0].Events[0]
-	if ev.NFields != maxFields {
-		t.Fatalf("NFields = %d, want %d", ev.NFields, maxFields)
+	ev := lg.Snapshot().Lanes[0].Records[0]
+	if ev.NAttrs != maxFields {
+		t.Fatalf("NAttrs = %d, want %d", ev.NAttrs, maxFields)
 	}
 }
 
 func TestRingWrapCountsDropped(t *testing.T) {
 	lg := New(Options{Level: LevelInfo, Capacity: 4})
 	for i := 0; i < 10; i++ {
-		lg.Info(fmt.Sprintf("e%d", i))
+		lg.Info("e", trace.Int("i", int64(i)))
 	}
-	sc := lg.Snapshot().Scopes[0]
+	sc := lg.Snapshot().Lanes[0]
 	if sc.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", sc.Dropped)
 	}
-	if len(sc.Events) != 4 || sc.Events[0].Msg != "e6" || sc.Events[3].Msg != "e9" {
-		t.Fatalf("ring window = %+v", sc.Events)
+	first, _ := sc.Records[0].Attr("i")
+	last, _ := sc.Records[len(sc.Records)-1].Attr("i")
+	if len(sc.Records) != 4 || first.Value() != int64(6) || last.Value() != int64(9) {
+		t.Fatalf("ring window = %+v", sc.Records)
 	}
 }
 
@@ -160,14 +142,14 @@ func TestScopesSnapshotInIDOrderEmptyOmitted(t *testing.T) {
 	a.Info("on-a")
 	lg.Info("on-main")
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 3 {
-		t.Fatalf("got %d scopes, want 3 (empty omitted)", len(snap.Scopes))
+	if len(snap.Lanes) != 3 {
+		t.Fatalf("got %d scopes, want 3 (empty omitted)", len(snap.Lanes))
 	}
-	names := []string{snap.Scopes[0].Name, snap.Scopes[1].Name, snap.Scopes[2].Name}
+	names := []string{snap.Lanes[0].Name, snap.Lanes[1].Name, snap.Lanes[2].Name}
 	if names[0] != "main" || names[1] != "a" || names[2] != "b" {
 		t.Fatalf("scope order = %v", names)
 	}
-	if lg.ScopeName(a.sc.id) != "a" || lg.ScopeName(99) != "" {
+	if lg.ScopeName(a.tr.LaneID()) != "a" || lg.ScopeName(99) != "" {
 		t.Fatal("ScopeName lookup broken")
 	}
 }
@@ -187,7 +169,7 @@ func TestSerialVsParallelByteIdentity(t *testing.T) {
 		}
 		emit := func(w *Logger, i int) {
 			for j := 0; j < events; j++ {
-				w.Info("tick", Int("worker", int64(i)), Int("j", int64(j)))
+				w.Info("tick", trace.Int("worker", int64(i)), trace.Int("j", int64(j)))
 			}
 		}
 		if parallel {
@@ -223,7 +205,7 @@ func TestLiveSinkTextFormat(t *testing.T) {
 	var buf bytes.Buffer
 	lg := New(Options{Level: LevelInfo, Live: &buf, LiveFormat: FormatText})
 	lg.SetClock(func() float64 { return 3.25 })
-	lg.Info("campaign-started", Int("nodes", 30), String("preset", "goerli small"))
+	lg.Info("campaign-started", trace.Int("nodes", 30), trace.String("preset", "goerli small"))
 	want := `level=info t=3.250 scope=main msg=campaign-started nodes=30 preset="goerli small"` + "\n"
 	if buf.String() != want {
 		t.Fatalf("live text = %q, want %q", buf.String(), want)
@@ -233,10 +215,12 @@ func TestLiveSinkTextFormat(t *testing.T) {
 func TestLiveSinkJSONLFormat(t *testing.T) {
 	var buf bytes.Buffer
 	lg := New(Options{Level: LevelInfo, Live: &buf, LiveFormat: FormatJSONL})
-	lg.Info("hello", Bool("ok", true))
+	sc := lg.Scope("census", nil)
+	sc.Info("hello", trace.Bool("ok", true))
 	line := strings.TrimSpace(buf.String())
-	if !strings.Contains(line, `"msg":"hello"`) || !strings.Contains(line, `"name":"main"`) {
-		t.Fatalf("live jsonl = %q", line)
+	want := `{"kind":"event","lane":1,"name":"hello","id":1,"seq":1,"start":0,"end":0,"level":"info","attrs":[{"k":"ok","b":true}]}`
+	if line != want {
+		t.Fatalf("live jsonl = %s, want the trace record line %s", line, want)
 	}
 	if strings.Count(buf.String(), "\n") != 1 {
 		t.Fatalf("want exactly one line, got %q", buf.String())
@@ -245,13 +229,51 @@ func TestLiveSinkJSONLFormat(t *testing.T) {
 
 func TestTapAndCancel(t *testing.T) {
 	lg := New(Options{Level: LevelInfo})
+	sc := lg.Scope("census", nil)
 	var got []string
-	cancel := lg.Tap(func(e Event) { got = append(got, e.Msg) })
-	lg.Info("one")
+	var lanes []int
+	cancel := lg.Tap(func(lane int, r trace.Record) {
+		got = append(got, r.Name)
+		lanes = append(lanes, lane)
+	})
+	sc.Info("one")
 	cancel()
-	lg.Info("two")
-	if len(got) != 1 || got[0] != "one" {
-		t.Fatalf("tap saw %v, want [one]", got)
+	sc.Info("two")
+	if len(got) != 1 || got[0] != "one" || lanes[0] != 1 {
+		t.Fatalf("tap saw %v on lanes %v, want [one] on [1]", got, lanes)
+	}
+}
+
+// TestTapCancelRacesEmit registers and cancels taps while another goroutine
+// emits. Emit reads the tap list after releasing the lock, so cancel must
+// never write into a list a reader may hold (go test -race), and a cancelled
+// tap must leave no slot behind (one per disconnected /events client).
+func TestTapCancelRacesEmit(t *testing.T) {
+	lg := New(Options{Level: LevelInfo, Capacity: 16})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				lg.Info("spin")
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		cancel := lg.Tap(func(int, trace.Record) {})
+		cancel()
+	}
+	close(stop)
+	<-done
+	lg.s.liveMu.Lock()
+	n := len(lg.s.taps)
+	lg.s.liveMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d tap slots left after every tap was cancelled", n)
 	}
 }
 
@@ -271,26 +293,13 @@ func TestEnableEnabled(t *testing.T) {
 	}
 }
 
-func TestCampaignIDStable(t *testing.T) {
-	a := CampaignID("census", 7)
-	if a != CampaignID("census", 7) {
-		t.Fatal("CampaignID not stable")
-	}
-	if a == CampaignID("census", 8) || a == CampaignID("track", 7) {
-		t.Fatal("CampaignID should depend on name and seed")
-	}
-	if !strings.HasPrefix(a, "c-") || len(a) != 18 {
-		t.Fatalf("CampaignID format = %q", a)
-	}
-}
-
 func TestSnapshotDuringConcurrentWrites(t *testing.T) {
 	lg := New(Options{Level: LevelInfo, Capacity: 64})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			lg.Info("spin", Int("i", int64(i)))
+			lg.Info("spin", trace.Int("i", int64(i)))
 		}
 	}()
 	for i := 0; i < 50; i++ {

@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"toposhot/internal/trace"
+)
 
 // Watchdog consumes the live event stream and the ledger record stream and
 // promotes operational anomalies to first-class warn events on its own
@@ -66,7 +70,7 @@ func NewWatchdog(cfg WatchdogConfig, lg *Logger) *Watchdog {
 	}
 	if lg != nil {
 		w.lg = lg.Scope("watchdog", nil)
-		w.own = w.lg.sc.id
+		w.own = w.lg.tr.LaneID()
 		// The watchdog's scope clock follows the stream it judges: stamp
 		// its events with the latest time seen on any watched scope.
 		w.lg.SetClock(w.lastTime)
@@ -108,8 +112,8 @@ func (w *Watchdog) grow(id int) {
 // onEvent advances per-scope liveness and checks the stall detector: any
 // scope whose last event is StallAfter behind the arriving event's clock is
 // flagged once (and re-armed when it speaks again).
-func (w *Watchdog) onEvent(e Event) {
-	if e.Scope == w.own {
+func (w *Watchdog) onEvent(scope int, r trace.Record) {
+	if scope == w.own {
 		return
 	}
 	type stall struct {
@@ -118,16 +122,16 @@ func (w *Watchdog) onEvent(e Event) {
 	}
 	var stalls []stall
 	w.mu.Lock()
-	w.grow(e.Scope)
-	w.lastSeen[e.Scope] = e.Time
-	w.seen[e.Scope] = true
-	w.stallFlagged[e.Scope] = false
+	w.grow(scope)
+	w.lastSeen[scope] = r.Start
+	w.seen[scope] = true
+	w.stallFlagged[scope] = false
 	if w.cfg.StallAfter > 0 {
 		for id := range w.lastSeen {
-			if id == e.Scope || id == w.own || !w.seen[id] || w.stallFlagged[id] {
+			if id == scope || id == w.own || !w.seen[id] || w.stallFlagged[id] {
 				continue
 			}
-			if idle := e.Time - w.lastSeen[id]; idle > w.cfg.StallAfter {
+			if idle := r.Start - w.lastSeen[id]; idle > w.cfg.StallAfter {
 				w.stallFlagged[id] = true
 				stalls = append(stalls, stall{id: id, idle: idle})
 			}
@@ -136,9 +140,9 @@ func (w *Watchdog) onEvent(e Event) {
 	w.mu.Unlock()
 	for _, s := range stalls {
 		w.lg.Warn(MsgPhaseStalled,
-			String("stalled_scope", w.lg.ScopeName(s.id)),
-			Int("scope_id", int64(s.id)),
-			Float("idle_s", s.idle))
+			trace.String("stalled_scope", w.lg.ScopeName(s.id)),
+			trace.Int("scope_id", int64(s.id)),
+			trace.Float("idle_s", s.idle))
 	}
 }
 
@@ -174,13 +178,13 @@ func (w *Watchdog) onRecord(r ProbeRecord) {
 	w.mu.Unlock()
 	if overrun {
 		w.lg.Warn(MsgBudgetOverrun,
-			Int("budget_txs", int64(w.cfg.BudgetTxs)),
-			Int("spent_txs", int64(spent)))
+			trace.Int("budget_txs", int64(w.cfg.BudgetTxs)),
+			trace.Int("spent_txs", int64(spent)))
 	}
 	if anomaly {
 		w.lg.Warn(MsgRecallAnomaly,
-			Int("window", int64(len(w.window))),
-			Int("detected", int64(detected)),
-			Float("min_rate", w.cfg.MinDetectRate))
+			trace.Int("window", int64(len(w.window))),
+			trace.Int("detected", int64(detected)),
+			trace.Float("min_rate", w.cfg.MinDetectRate))
 	}
 }

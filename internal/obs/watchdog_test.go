@@ -1,13 +1,17 @@
 package obs
 
-import "testing"
+import (
+	"testing"
 
-// watchdogEvents returns the messages recorded on the watchdog's own scope.
-func watchdogEvents(t *testing.T, lg *Logger) []Event {
+	"toposhot/internal/trace"
+)
+
+// watchdogEvents returns the records on the watchdog's own scope.
+func watchdogEvents(t *testing.T, lg *Logger) []trace.Record {
 	t.Helper()
-	for _, sc := range lg.Snapshot().Scopes {
+	for _, sc := range lg.Snapshot().Lanes {
 		if sc.Name == "watchdog" {
-			return sc.Events
+			return sc.Records
 		}
 	}
 	return nil
@@ -33,10 +37,10 @@ func TestWatchdogStall(t *testing.T) {
 	tick = 102
 	fast.Info("working")
 	evs := watchdogEvents(t, lg)
-	if len(evs) != 1 || evs[0].Msg != MsgPhaseStalled {
+	if len(evs) != 1 || evs[0].Name != MsgPhaseStalled {
 		t.Fatalf("watchdog events = %+v, want one %s", evs, MsgPhaseStalled)
 	}
-	if f, _ := evs[0].Field("stalled_scope"); f.Value() != "slow-phase" {
+	if f, _ := evs[0].Attr("stalled_scope"); f.Value() != "slow-phase" {
 		t.Fatalf("stalled scope = %v", f.Value())
 	}
 	// The stalled scope speaking re-arms; going quiet again re-fires.
@@ -48,8 +52,8 @@ func TestWatchdogStall(t *testing.T) {
 		t.Fatalf("re-armed stall should fire again, got %+v", evs)
 	}
 	// Watchdog events carry the latest stream time, not a wall clock.
-	if evs := watchdogEvents(t, lg); evs[1].Time < 200 {
-		t.Fatalf("watchdog clock = %g, want stream time", evs[1].Time)
+	if evs := watchdogEvents(t, lg); evs[1].Start < 200 {
+		t.Fatalf("watchdog clock = %g, want stream time", evs[1].Start)
 	}
 }
 
@@ -62,10 +66,10 @@ func TestWatchdogBudgetOverrunFiresOnce(t *testing.T) {
 		led.Record(ProbeRecord{Kind: KindPair, Pending: 3, Futures: 1})
 	}
 	evs := watchdogEvents(t, lg)
-	if len(evs) != 1 || evs[0].Msg != MsgBudgetOverrun {
+	if len(evs) != 1 || evs[0].Name != MsgBudgetOverrun {
 		t.Fatalf("events = %+v, want exactly one %s", evs, MsgBudgetOverrun)
 	}
-	if f, _ := evs[0].Field("spent_txs"); f.Value() != int64(12) {
+	if f, _ := evs[0].Attr("spent_txs"); f.Value() != int64(12) {
 		t.Fatalf("spent = %v, want 12 (first crossing)", f.Value())
 	}
 }
@@ -90,10 +94,10 @@ func TestWatchdogRecallAnomaly(t *testing.T) {
 		led.Record(ProbeRecord{Kind: KindPair, Verdict: "undetected"})
 	}
 	evs := watchdogEvents(t, lg)
-	if len(evs) != 1 || evs[0].Msg != MsgRecallAnomaly {
+	if len(evs) != 1 || evs[0].Name != MsgRecallAnomaly {
 		t.Fatalf("events = %+v, want one %s", evs, MsgRecallAnomaly)
 	}
-	if f, _ := evs[0].Field("detected"); f.Value() != int64(1) {
+	if f, _ := evs[0].Attr("detected"); f.Value() != int64(1) {
 		t.Fatalf("detected = %v, want 1", f.Value())
 	}
 	// Fires once even as the rate stays low.
@@ -110,6 +114,6 @@ func TestWatchdogNilLogger(t *testing.T) {
 	led := NewLedger()
 	w.WatchLedger(led)
 	led.Record(ProbeRecord{Kind: KindPair, Pending: 5})
-	w.onEvent(Event{Scope: 2, Time: 100})
-	w.onEvent(Event{Scope: 3, Time: 300})
+	w.onEvent(2, trace.Record{Start: 100})
+	w.onEvent(3, trace.Record{Start: 300})
 }

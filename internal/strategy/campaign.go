@@ -143,8 +143,8 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 		trace.String(AttrMethod, s.Name()), trace.Int(attrPairs, int64(len(pairs))))
 	defer span.End()
 	lg.Info(core.MsgCampaignStarted,
-		obs.String("method", s.Name()), obs.Int("pairs", int64(len(pairs))),
-		obs.Int("span", int64(span.ID())))
+		trace.String("method", s.Name()), trace.Int("pairs", int64(len(pairs))),
+		trace.Int("span", int64(span.ID())))
 	led := obs.NewLedger()
 	start := net.Now()
 	prev := s.Cost()
@@ -201,9 +201,9 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 			s.Name(), got, out.Cost)
 	}
 	lg.Info(core.MsgCampaignDone,
-		obs.String("method", s.Name()), obs.Int("claimed", int64(out.Claimed.Len())),
-		obs.Int("pending_txs", int64(out.Cost.PendingTxs)), obs.Int("future_txs", int64(out.Cost.FutureTxs)),
-		obs.Float("virtual_s", out.VirtualSeconds))
+		trace.String("method", s.Name()), trace.Int("claimed", int64(out.Claimed.Len())),
+		trace.Int("pending_txs", int64(out.Cost.PendingTxs)), trace.Int("future_txs", int64(out.Cost.FutureTxs)),
+		trace.Float("virtual_s", out.VirtualSeconds))
 	return out, nil
 }
 

@@ -290,11 +290,11 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 			t.Fatalf("%s: %d pair records for %d verdicts", m, pairRecords, len(out.Verdicts))
 		}
 		snap := lg.Snapshot()
-		if len(snap.Scopes) != 1 {
-			t.Fatalf("%s: %d scopes in event log, want 1", m, len(snap.Scopes))
+		if len(snap.Lanes) != 1 {
+			t.Fatalf("%s: %d scopes in event log, want 1", m, len(snap.Lanes))
 		}
-		evs := snap.Scopes[0].Events
-		if len(evs) < 2 || evs[0].Msg != core.MsgCampaignStarted || evs[len(evs)-1].Msg != core.MsgCampaignDone {
+		evs := snap.Lanes[0].Records
+		if len(evs) < 2 || evs[0].Name != core.MsgCampaignStarted || evs[len(evs)-1].Name != core.MsgCampaignDone {
 			t.Fatalf("%s: campaign lifecycle events missing: %d events", m, len(evs))
 		}
 	}

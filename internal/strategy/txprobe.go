@@ -72,12 +72,5 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "marker-absent"}, nil
 }
 
-// MeasureOneLink is the historical boolean API, kept for callers predating
-// the strategy framework.
-func (p *TxProbe) MeasureOneLink(a, b types.NodeID) (bool, error) {
-	c, err := p.MeasurePair(a, b)
-	return c.Detected, err
-}
-
 // Cost implements Strategy: three pending-class transactions per pair.
 func (p *TxProbe) Cost() Cost { return Cost{PendingTxs: p.pending} }

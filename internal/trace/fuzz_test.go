@@ -38,6 +38,10 @@ func FuzzTraceJSONL(f *testing.F) {
 {"kind":"lane","lane":0,"name":"main","now":4}
 {"kind":"span","lane":0,"name":"s","id":1,"seq":1,"start":1,"end":2,"attrs":[{"k":"a","i":7}]}
 {"kind":"event","lane":0,"name":"e","id":2,"seq":2,"start":2,"end":2}`))
+	// An event-log line: a levelled event carrying the full 8 attributes.
+	f.Add([]byte(`{"kind":"header","v":1,"deterministic":true}
+{"kind":"lane","lane":1,"name":"census","now":12.5}
+{"kind":"event","lane":1,"name":"batch-done","id":4,"seq":4,"start":12.5,"end":12.5,"level":"debug","attrs":[{"k":"batch","i":3},{"k":"pairs","i":40},{"k":"detected","i":9},{"k":"ok","b":true},{"k":"rate","f":0.225},{"k":"phase","s":"census"},{"k":"span","i":2},{"k":"err","s":""}]}`))
 	f.Add([]byte(`{"kind":"span"`))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {

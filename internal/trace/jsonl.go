@@ -10,7 +10,9 @@ import (
 // The JSONL format is one JSON object per line, stream-friendly: a header
 // line, then each lane's meta line followed by its records in sequence
 // order. Unlike the Chrome export it round-trips losslessly through
-// ReadJSONL, which is what the FuzzTraceJSONL target pins down.
+// ReadJSONL, which is what the FuzzTraceJSONL target pins down. The obs
+// event log writes the same format: its events are event records whose
+// "level" field carries their severity.
 
 // jsonlVersion is bumped on incompatible line-schema changes.
 const jsonlVersion = 1
@@ -76,7 +78,42 @@ type jsonlLine struct {
 	End    float64    `json:"end"`
 	WallNs int64      `json:"wall_ns,omitempty"`
 	Open   bool       `json:"open,omitempty"`
+	Level  string     `json:"level,omitempty"`
 	Attrs  []wireAttr `json:"attrs,omitempty"`
+}
+
+// recordLine is r's wire line on the given lane.
+func recordLine(lane int, r *Record) jsonlLine {
+	line := jsonlLine{
+		Kind:   "span",
+		Lane:   lane,
+		Name:   r.Name,
+		ID:     r.ID,
+		Parent: r.Parent,
+		Seq:    r.Seq,
+		Start:  r.Start,
+		End:    r.End,
+		WallNs: r.WallNs,
+		Open:   r.Open,
+		Level:  r.Severity.String(),
+	}
+	if r.Kind == KindEvent {
+		line.Kind = "event"
+	}
+	if r.NAttrs > 0 {
+		line.Attrs = make([]wireAttr, r.NAttrs)
+		for j, a := range r.AttrList() {
+			line.Attrs[j] = toWireAttr(a)
+		}
+	}
+	return line
+}
+
+// MarshalRecord renders r as the single JSONL record line (no newline)
+// WriteJSONL would write for it on the given lane: the live form of one
+// record, as the event log's JSONL sink and SSE stream send it.
+func MarshalRecord(lane int, r *Record) ([]byte, error) {
+	return json.Marshal(recordLine(lane, r))
 }
 
 // WriteJSONL writes the trace as JSON Lines: a header, then per lane a lane
@@ -94,30 +131,7 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 			return err
 		}
 		for i := range l.Records {
-			r := &l.Records[i]
-			line := jsonlLine{
-				Lane:   l.ID,
-				Name:   r.Name,
-				ID:     r.ID,
-				Parent: r.Parent,
-				Seq:    r.Seq,
-				Start:  r.Start,
-				End:    r.End,
-				WallNs: r.WallNs,
-				Open:   r.Open,
-			}
-			if r.Kind == KindEvent {
-				line.Kind = "event"
-			} else {
-				line.Kind = "span"
-			}
-			if r.NAttrs > 0 {
-				line.Attrs = make([]wireAttr, r.NAttrs)
-				for j, a := range r.AttrList() {
-					line.Attrs[j] = toWireAttr(a)
-				}
-			}
-			if err := enc.Encode(line); err != nil {
+			if err := enc.Encode(recordLine(l.ID, &l.Records[i])); err != nil {
 				return err
 			}
 		}
@@ -128,7 +142,8 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 // ReadJSONL parses a JSONL trace stream back into a Trace. Lanes keep their
 // first-seen order and metadata; records keep file order within their lane.
 // Records for a lane with no preceding lane line get an implicit unnamed
-// lane. Unknown line kinds are an error, as is any malformed line.
+// lane. Unknown line kinds and severities are an error, as is any malformed
+// line.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	out := &Trace{}
 	laneIdx := make(map[int]int)
@@ -177,6 +192,13 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			}
 			if line.Kind == "event" {
 				rec.Kind = KindEvent
+			}
+			if line.Level != "" {
+				sev, err := ParseSeverity(line.Level)
+				if err != nil {
+					return nil, fmt.Errorf("trace: jsonl line %d: %w", n, err)
+				}
+				rec.Severity = sev
 			}
 			for _, a := range line.Attrs {
 				rec.NAttrs = setAttr(&rec.Attrs, rec.NAttrs, fromWireAttr(a))

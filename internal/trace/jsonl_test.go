@@ -83,6 +83,38 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLSeverityRoundTrip: event-log records keep their level through
+// the codec, and the single-record line MarshalRecord renders is the line
+// WriteJSONL writes for that record.
+func TestJSONLSeverityRoundTrip(t *testing.T) {
+	tr := New(Options{Level: LevelMeasure, Deterministic: true})
+	r := tr.Log(SeverityDebug, tsTick, Int("n", 3))
+	tr.Event(tsFiller)
+	var b bytes.Buffer
+	if err := tr.Snapshot().WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSONL(bytes.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := got.Lanes[0].Records
+	if recs[0].Severity != SeverityDebug || recs[1].Severity != SeverityNone {
+		t.Fatalf("severities = %v, %v", recs[0].Severity, recs[1].Severity)
+	}
+	line, err := MarshalRecord(0, &r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(b.String(), "\n")
+	if lines[2] != string(line) || !strings.Contains(lines[2], `"level":"debug"`) {
+		t.Fatalf("MarshalRecord = %s, WriteJSONL line = %s", line, lines[2])
+	}
+	if strings.Contains(lines[3], `"level"`) {
+		t.Fatalf("trace-only record carries a level: %s", lines[3])
+	}
+}
+
 // TestWriteJSONLWriteFailure checks every byte offset a sink can die at:
 // WriteJSONL must report the failure, never swallow it into a silently
 // truncated file.
@@ -109,6 +141,7 @@ func TestReadJSONLErrors(t *testing.T) {
 		"malformed":     "{not json}\n",
 		"unknown kind":  `{"kind":"mystery","lane":0}` + "\n",
 		"attr overflow": `{"kind":"event","lane":0,"name":"e","attrs":[` + strings.Repeat(`{"k":"a","i":1},`, maxAttrs) + `{"k":"z","i":1}]}` + "\n",
+		"bad level":     `{"kind":"event","lane":0,"name":"e","level":"loud"}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {

@@ -86,6 +86,42 @@ func (l Level) String() string {
 	return "off"
 }
 
+// Severity is the log level an event record carries when the obs event log
+// wrote it. Trace's own records carry SeverityNone, which the JSONL codec
+// omits, so trace-only files are unchanged by the field.
+type Severity uint8
+
+const (
+	// SeverityNone marks a record without a log level (every span and every
+	// trace event).
+	SeverityNone Severity = iota
+	SeverityDebug
+	SeverityInfo
+	SeverityWarn
+	SeverityError
+)
+
+// severityNames is indexed by Severity; SeverityNone renders as "".
+var severityNames = [...]string{"", "debug", "info", "warn", "error"}
+
+// String renders the severity as its -log-level spelling ("" for none).
+func (s Severity) String() string {
+	if int(s) < len(severityNames) {
+		return severityNames[s]
+	}
+	return ""
+}
+
+// ParseSeverity parses debug|info|warn|error.
+func ParseSeverity(s string) (Severity, error) {
+	for i := SeverityDebug; int(i) < len(severityNames); i++ {
+		if severityNames[i] == s {
+			return i, nil
+		}
+	}
+	return SeverityNone, fmt.Errorf("trace: unknown severity %q (want debug|info|warn|error)", s)
+}
+
 // attrKind discriminates Attr payloads.
 type attrKind uint8
 
@@ -138,8 +174,9 @@ func (a Attr) Value() interface{} {
 }
 
 // maxAttrs bounds the attributes carried per record; extras are dropped
-// silently. Six covers every call site in the repository.
-const maxAttrs = 6
+// silently. Eight covers every span and event-log call site in the
+// repository.
+const maxAttrs = 8
 
 // RecordKind discriminates ring records.
 type RecordKind uint8
@@ -158,17 +195,18 @@ const (
 // wall-clock duration (perf attribution only; zero in deterministic mode and
 // excluded from exports there).
 type Record struct {
-	Kind   RecordKind
-	Name   string
-	ID     uint64 // span id, lane-local, 1-based; events share the space
-	Parent uint64 // enclosing span id, 0 = lane root
-	Seq    uint64
-	Start  float64
-	End    float64
-	WallNs int64
-	Open   bool // true in snapshots for spans not yet ended
-	NAttrs int
-	Attrs  [maxAttrs]Attr
+	Kind     RecordKind
+	Severity Severity // set only on records the obs event log wrote
+	Name     string
+	ID       uint64 // span id, lane-local, 1-based; events share the space
+	Parent   uint64 // enclosing span id, 0 = lane root
+	Seq      uint64
+	Start    float64
+	End      float64
+	WallNs   int64
+	Open     bool // true in snapshots for spans not yet ended
+	NAttrs   int
+	Attrs    [maxAttrs]Attr
 }
 
 // AttrList returns the record's attributes as a slice view.
@@ -221,9 +259,8 @@ type sink struct {
 	det   bool
 	cap   int
 
-	mu     sync.Mutex
-	lanes  []*lane
-	nextID int
+	mu    sync.Mutex
+	lanes []*lane // indexed by lane id
 }
 
 // lane is one recording track. All mutation happens under mu so live
@@ -284,12 +321,11 @@ func New(o Options) *Tracer {
 func (s *sink) newLane(name string, clock func() float64) *Tracer {
 	s.mu.Lock()
 	l := &lane{
-		id:    s.nextID,
+		id:    len(s.lanes),
 		name:  name,
 		clock: clock,
 		ring:  make([]Record, s.cap),
 	}
-	s.nextID++
 	s.lanes = append(s.lanes, l)
 	s.mu.Unlock()
 	return &Tracer{s: s, l: l}
@@ -494,17 +530,32 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	l := t.l
+	r := Record{Kind: KindEvent, Name: name}
+	t.l.event(&r, attrs)
+}
+
+// Log records a point event carrying a log severity and returns the record
+// as written: the obs event log's entry point, whose live sinks render the
+// returned copy. name must be a compile-time constant or the forwarded name
+// parameter of a recorder the trace-spanname rule checks in turn. A nil
+// tracer records nothing and returns the zero Record.
+func (t *Tracer) Log(sev Severity, name string, attrs ...Attr) Record {
+	if t == nil {
+		return Record{}
+	}
+	r := Record{Kind: KindEvent, Severity: sev, Name: name}
+	t.l.event(&r, attrs)
+	return r
+}
+
+// event stamps r (id, seq, time, parent, attrs) and pushes it to the ring.
+func (l *lane) event(r *Record, attrs []Attr) {
 	l.mu.Lock()
 	l.seq++
 	l.nextID++
-	r := Record{
-		Kind:  KindEvent,
-		Name:  name,
-		ID:    l.nextID,
-		Seq:   l.seq,
-		Start: l.now(),
-	}
+	r.ID = l.nextID
+	r.Seq = l.seq
+	r.Start = l.now()
 	r.End = r.Start
 	if k := len(l.stack); k > 0 {
 		r.Parent = l.open[l.stack[k-1]].id
@@ -512,8 +563,30 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 	for _, a := range attrs {
 		r.NAttrs = setAttr(&r.Attrs, r.NAttrs, a)
 	}
-	l.push(r)
+	l.push(*r)
 	l.mu.Unlock()
+}
+
+// LaneID returns the id of the lane the tracer records into; -1 on a nil
+// tracer.
+func (t *Tracer) LaneID() int {
+	if t == nil {
+		return -1
+	}
+	return t.l.id
+}
+
+// LaneName returns the name of the sink's lane with the given id, or "".
+func (t *Tracer) LaneName(id int) string {
+	if t == nil {
+		return ""
+	}
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	if id < 0 || id >= len(t.s.lanes) {
+		return ""
+	}
+	return t.s.lanes[id].name
 }
 
 // Snapshot copies the sink's current state — completed records plus every

@@ -51,6 +51,12 @@ func TestNilTracerNoops(t *testing.T) {
 	sp.SetAttr(Bool("ok", true))
 	sp.End()
 	tr.Event(tsTick)
+	if r := tr.Log(SeverityInfo, tsTick); r.Name != "" {
+		t.Errorf("nil tracer Log returned %+v", r)
+	}
+	if tr.LaneID() != -1 || tr.LaneName(0) != "" {
+		t.Error("nil tracer has a lane")
+	}
 	snap := tr.Snapshot()
 	if len(snap.Lanes) != 0 {
 		t.Errorf("nil tracer snapshot has %d lanes, want 0", len(snap.Lanes))
@@ -177,6 +183,49 @@ func TestMaxAttrsDropsExtras(t *testing.T) {
 	r := tr.Snapshot().Lanes[0].Records[0]
 	if r.NAttrs != maxAttrs {
 		t.Errorf("NAttrs = %d, want %d", r.NAttrs, maxAttrs)
+	}
+}
+
+// TestLogCarriesSeverity pins the event-log entry point: Log records an
+// event like Event does, stamps its severity, and returns the record as it
+// landed in the ring.
+func TestLogCarriesSeverity(t *testing.T) {
+	tr, c := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true})
+	lane := tr.Lane("events", c.now)
+	c.t = 2.5
+	got := lane.Log(SeverityWarn, tsTick, Float("f", 0.25), String("s", "x"))
+	lane.Event(tsTick)
+	recs := tr.Snapshot().Lanes[0].Records
+	if len(recs) != 2 || recs[0] != got {
+		t.Fatalf("Log returned %+v, ring holds %+v", got, recs)
+	}
+	if got.Kind != KindEvent || got.Severity != SeverityWarn || got.Start != 2.5 || got.Seq != 1 {
+		t.Errorf("Log record = %+v", got)
+	}
+	if a, _ := got.Attr("f"); a.Value() != 0.25 {
+		t.Errorf("float attr = %v", a.Value())
+	}
+	if recs[1].Severity != SeverityNone {
+		t.Errorf("Event record severity = %v, want none", recs[1].Severity)
+	}
+	if lane.LaneID() != 1 || tr.LaneName(1) != "events" || tr.LaneName(0) != "main" || tr.LaneName(7) != "" {
+		t.Errorf("lane lookup: id %d, names %q %q", lane.LaneID(), tr.LaneName(0), tr.LaneName(1))
+	}
+}
+
+func TestParseSeverity(t *testing.T) {
+	for s := SeverityDebug; s <= SeverityError; s++ {
+		if got, err := ParseSeverity(s.String()); err != nil || got != s {
+			t.Errorf("ParseSeverity(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "loud", "off", "INFO"} {
+		if _, err := ParseSeverity(bad); err == nil {
+			t.Errorf("ParseSeverity(%q) accepted", bad)
+		}
+	}
+	if SeverityNone.String() != "" {
+		t.Errorf("SeverityNone renders as %q", SeverityNone.String())
 	}
 }
 
