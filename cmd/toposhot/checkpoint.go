@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"toposhot/internal/core"
 	"toposhot/internal/tracker"
@@ -14,7 +15,7 @@ import (
 )
 
 // checkpointMagic heads a campaign checkpoint file: the engine-state blob is
-// versioned RLP (internal/ethsim checkpoint v1); this container adds the
+// versioned RLP (internal/ethsim, strict version match); this container adds the
 // campaign-level context the CLI needs to resume — schedule position plus
 // the NodeID→vertex mapping for edge output.
 const checkpointMagic = "TSCKPT1\n"
@@ -24,6 +25,17 @@ const checkpointMagic = "TSCKPT1\n"
 type backPair struct {
 	ID types.NodeID
 	V  int
+}
+
+// backPairs flattens a NodeID→vertex map into pairs sorted by ID, so
+// same-seed runs write byte-identical checkpoint files.
+func backPairs(back map[types.NodeID]int) []backPair {
+	out := make([]backPair, 0, len(back))
+	for id, v := range back {
+		out = append(out, backPair{ID: id, V: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // trackingMeta is the checkpoint tail of a -track run: the tracker snapshot

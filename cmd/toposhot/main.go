@@ -283,10 +283,7 @@ func main() {
 			if every < 1 {
 				every = 1
 			}
-			meta := &campaignMeta{Seed: *seed, K: *k, EdgeBudget: 144, Targets: targets}
-			for id, v := range back {
-				meta.Back = append(meta.Back, backPair{ID: id, V: v})
-			}
+			meta := &campaignMeta{Seed: *seed, K: *k, EdgeBudget: 144, Targets: targets, Back: backPairs(back)}
 			onBatch = func(st *core.CampaignState) error {
 				if st.BatchesDone%every != 0 {
 					return nil

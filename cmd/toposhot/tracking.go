@@ -107,7 +107,7 @@ func runTracking(f trackingFlags) {
 			}
 			meta := &campaignMeta{
 				Seed: f.seed, K: f.k, EdgeBudget: 144, Super: tt.Super,
-				Targets: tt.Tracker.Targets(),
+				Targets: tt.Tracker.Targets(), Back: backPairs(tt.Back),
 				Tracking: &trackingMeta{
 					State:            tt.Tracker.State(),
 					TicksDone:        tt.Tick,
@@ -120,9 +120,6 @@ func runTracking(f trackingFlags) {
 					TrackerEther:     tt.Ether,
 					TrackerDuration:  tt.TotalDuration,
 				},
-			}
-			for id, v := range tt.Back {
-				meta.Back = append(meta.Back, backPair{ID: id, V: v})
 			}
 			return writeCheckpoint(f.checkpoint, blob, meta)
 		}

@@ -32,6 +32,7 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 	m.super.Inject(a, futA...)
 	txA := types.NewTransaction(acctC, dest, 0, m.params.PriceTxA(y), 0)
 	checkFrom := net.Now()
+	m.super.Watch(txA.Hash())
 	m.super.Inject(a, txA)
 	m.runUntilDrained()
 	na := net.Node(a)
@@ -64,6 +65,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		dest := m.freshAccount()
 		txC[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxC(y), 0)
 		txA[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxA(y), 0)
+		m.super.Watch(txA[i].Hash())
 		txB[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxB(y), 0)
 	}
 	sources, sinks := participantSets(edges)
@@ -204,6 +206,7 @@ func TestDebugRound2Call(t *testing.T) {
 		dest := m.freshAccount()
 		txC[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxC(y), 0)
 		txA[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxA(y), 0)
+		m.super.Watch(txA[i].Hash())
 		txB[i] = types.NewTransaction(acct, dest, 0, m.params.PriceTxB(y), 0)
 	}
 	sources, sinks := participantSets(edges)

@@ -372,6 +372,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	txA.To = txC.To
 	m.Ledger.RecordPending(txA)
 	checkFrom := m.net.Now()
+	m.super.Watch(txA.Hash())
 	m.super.Inject(a, txA)
 	pa.End()
 	dr = m.tracer.StartSpan(spanDrain)

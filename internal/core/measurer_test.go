@@ -240,7 +240,9 @@ func TestVerdictReasons(t *testing.T) {
 	sink, other := ids[0], ids[1]
 
 	mk := func(seed uint64) *types.Transaction {
-		return types.NewTransaction(types.AddressFromUint64(seed), types.AddressFromUint64(seed+1), 0, 1, 0)
+		tx := types.NewTransaction(types.AddressFromUint64(seed), types.AddressFromUint64(seed+1), 0, 1, 0)
+		super.Watch(tx.Hash())
+		return tx
 	}
 	deliver := func(from types.NodeID, tx *types.Transaction) {
 		super.Node().OnTxDelivered(ethsim.TxReceipt{From: from, Tx: tx, At: now + 1})

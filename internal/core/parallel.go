@@ -129,6 +129,9 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// Source setup (paper's p2): Z futures, other-edge txCs, own txAs.
 	sp := m.tracer.StartSpan(spanSourceSetup, trace.Int(attrNodes, int64(len(sources))))
 	checkFrom := m.net.Now()
+	for _, tx := range txA {
+		m.super.Watch(tx.Hash())
+	}
 	srcOrder := sortedIDs(sources)
 	for _, a := range srcOrder {
 		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))

@@ -82,6 +82,7 @@ func (m *Measurer) Preprocess(nodes []types.NodeID) *PreprocessReport {
 		acct := m.freshAccount()
 		probe := types.NewTransaction(acct, m.freshAccount(), 7, m.params.PriceFuture(y), 0)
 		probes[id] = probe.Hash()
+		m.super.Watch(probe.Hash())
 		m.super.Inject(id, probe)
 	}
 	m.runUntilDrained()

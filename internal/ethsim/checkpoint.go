@@ -16,8 +16,11 @@ import (
 // checkpoint is a byte-exact continuation artifact, not an interchange
 // format — carrying forward state through a layout change cannot preserve
 // replay identity, which is the whole point of resuming (DESIGN.md §12).
-// Version 2 appended the churn-process registry to the root list.
-const checkpointVersion = 2
+// Version 2 appended the churn-process registry to the root list; version 3
+// encodes each in-flight message's payload as the receiver's view, one list
+// of transaction-table refs (announcements and requests carry transactions,
+// not hashes).
+const checkpointVersion = 3
 
 // Checkpoint serializes the complete simulation state — engine clock, event
 // queue, RNG position, every node's mempool and adjacency segment, in-flight
@@ -31,10 +34,11 @@ const checkpointVersion = 2
 // Function-valued hooks are not part of the image: supernode observation
 // hooks are re-bound automatically on restore, but custom OnOffer /
 // OnTxAdmitted / AddJanitorHook callbacks must be re-registered by the
-// caller. Supernode receipt logs (byHash/announced) are deliberately
-// dropped: every verdict read filters receipts to At >= t for a measurement
-// start t, and any measurement started after a resume has t at or past the
-// checkpoint time, so pre-checkpoint receipts are unreachable.
+// caller. Supernode receipt logs (byHash/announced) and the watch set are
+// deliberately dropped: every verdict read filters receipts to At >= t for a
+// measurement start t, and any measurement started after a resume has t at
+// or past the checkpoint time and watches its own transactions, so
+// pre-checkpoint receipts and watches are unreachable.
 func (n *Network) Checkpoint() ([]byte, error) {
 	events, err := n.eng.SnapshotEvents(n)
 	if err != nil {
@@ -252,7 +256,10 @@ func encodeOverflow(m map[uint64]float64) rlp.Item {
 
 // encodeMsgs captures the pooled message arena verbatim: total length, the
 // free list in its exact order (slot reuse order feeds scheduling, so it must
-// survive), and every live slot's payload.
+// survive), and every live slot's payload as its receiver's view — the items
+// not excluded for the destination, as transaction-table refs. Shared flush
+// batches are not part of the image: restore gives each message a
+// slot-owned copy of its view, which delivers identically.
 func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 	free := make([]rlp.Item, len(n.msgFree))
 	for i, f := range n.msgFree {
@@ -264,19 +271,16 @@ func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 		if m.dst == nil {
 			continue
 		}
-		txRefs := make([]rlp.Item, len(m.txs))
-		for j, tx := range m.txs {
-			txRefs[j] = rlp.Uint(tt.ref(tx))
-		}
-		hashes := make([]rlp.Item, len(m.hashes))
-		for j := range m.hashes {
-			h := m.hashes[j]
-			hashes[j] = rlp.Bytes(h[:])
+		var txRefs []rlp.Item
+		for _, it := range m.view() {
+			if it.exclude != m.dst.id {
+				txRefs = append(txRefs, rlp.Uint(tt.ref(it.tx)))
+			}
 		}
 		live = append(live, rlp.List(
 			rlp.Uint(uint64(i)), rlp.Uint(uint64(m.kind)),
 			rlp.Uint(uint64(m.from)), rlp.Uint(uint64(m.dst.id)),
-			f64Item(m.sent), listOf(txRefs), listOf(hashes),
+			f64Item(m.sent), listOf(txRefs),
 		))
 	}
 	return rlp.List(rlp.Uint(uint64(len(n.msgs))), listOf(free), listOf(live))
@@ -663,7 +667,7 @@ func RestoreNetworkLanes(data []byte, lanes int) (*Network, error) {
 		n.msgFree = append(n.msgFree, int32(d.u64(p, "free slot")))
 	}
 	for _, p := range d.list(mf[2], -1, "live msgs") {
-		lf := d.list(p, 7, "live msg")
+		lf := d.list(p, 6, "live msg")
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -683,11 +687,8 @@ func RestoreNetworkLanes(data []byte, lanes int) (*Network, error) {
 		m.from = types.NodeID(d.u64(lf[2], "msg from"))
 		m.dst = dst
 		m.sent = d.f64(lf[4], "msg sent")
-		for _, t := range d.list(lf[5], -1, "msg txs") {
-			m.txs = append(m.txs, d.txRef(t, table, "msg tx"))
-		}
-		for _, hh := range d.list(lf[6], -1, "msg hashes") {
-			m.hashes = append(m.hashes, d.hash(hh, "msg hash"))
+		for _, t := range d.list(lf[5], -1, "msg payload") {
+			m.items = append(m.items, outItem{tx: d.txRef(t, table, "msg tx")})
 		}
 	}
 

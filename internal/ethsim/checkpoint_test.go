@@ -188,3 +188,82 @@ func TestDeliveryMarksBoundedUnderFlood(t *testing.T) {
 		t.Fatalf("overflow watermark map holds %d entries after churn; pruning failed", len(net.overflowMark))
 	}
 }
+
+// TestCheckpointMidFlood checkpoints while shared flush batches and
+// announce/request messages are in flight. Restore must re-checkpoint to
+// the same bytes, and the restored network must continue like the original:
+// the same message tallies and pool contents, and the same supernode
+// verdicts for a probe watched and injected after the checkpoint.
+func TestCheckpointMidFlood(t *testing.T) {
+	net, _ := buildCheckpointNet(1)
+	net.RunFor(10)
+	inFlight := func() (shared, announce, request int) {
+		for i := range net.msgs {
+			m := &net.msgs[i]
+			if m.dst == nil {
+				continue
+			}
+			if m.batch != nil {
+				shared++
+			}
+			switch m.kind {
+			case msgAnnounce:
+				announce++
+			case msgRequest:
+				request++
+			}
+		}
+		return
+	}
+	for {
+		if s, a, r := inFlight(); s > 1 && a > 0 && r > 0 {
+			break
+		}
+		if net.Now() > 60 {
+			t.Fatal("no instant with shared batches, announcements and requests in flight")
+		}
+		net.RunFor(0.005)
+	}
+
+	blob, err := net.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	restored, err := RestoreNetwork(blob)
+	if err != nil {
+		t.Fatalf("RestoreNetwork: %v", err)
+	}
+	again, err := restored.Checkpoint()
+	if err != nil {
+		t.Fatalf("re-Checkpoint: %v", err)
+	}
+	if !reflect.DeepEqual(blob, again) {
+		t.Fatal("mid-flood restore→checkpoint does not round-trip to identical bytes")
+	}
+
+	verdicts := func(n *Network) []string {
+		sn := n.Supernodes()[0]
+		probe := types.NewTransaction(types.AddressFromUint64(0xfeed), types.AddressFromUint64(1), 0, 20*types.Gwei, 0)
+		since := n.Now()
+		sn.Watch(probe.Hash())
+		sn.Inject(3, probe)
+		log := observeRun(n, 15)
+		for _, nd := range n.Nodes() {
+			log = append(log, fmt.Sprintf("verdict %d %v", nd.ID(), sn.VerdictFor(nd.ID(), probe.Hash(), since)))
+		}
+		for _, pt := range sn.PossessionTimes(probe.Hash(), since) {
+			log = append(log, fmt.Sprintf("possession %d %.9f %v", pt.Peer, pt.At, pt.Pushed))
+		}
+		return log
+	}
+	want := verdicts(net)
+	got := verdicts(restored)
+	if !reflect.DeepEqual(want, got) {
+		for i := range want {
+			if i >= len(got) || want[i] != got[i] {
+				t.Fatalf("resumed run diverged at line %d:\n  orig: %q\n  rest: %q", i, want[i], got[i])
+			}
+		}
+		t.Fatalf("resumed run diverged (lengths %d vs %d)", len(want), len(got))
+	}
+}

@@ -152,6 +152,7 @@ func TestSupernodeObservesSources(t *testing.T) {
 	super := NewSupernode(net)
 	super.ConnectAll()
 	tx := types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, types.Gwei, 0)
+	super.Watch(tx.Hash())
 	super.Inject(ids[0], tx)
 	net.RunFor(5)
 	// Everyone got it, and M observed it from at least one real peer.

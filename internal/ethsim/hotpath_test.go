@@ -1,6 +1,8 @@
 package ethsim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"toposhot/internal/trace"
@@ -165,9 +167,9 @@ func TestAnnounceLockStillFiltersDuplicates(t *testing.T) {
 	if err := net.Connect(nd.ID(), src.ID()); err != nil {
 		t.Fatal(err)
 	}
-	h := types.BytesToHash([]byte{0xaa})
-	nd.deliverAnnounce(src.ID(), []types.Hash{h})
-	nd.deliverAnnounce(src.ID(), []types.Hash{h})
+	tx := types.NewTransaction(types.AddressFromUint64(0xaa), types.AddressFromUint64(1), 0, types.Gwei, 0)
+	nd.deliverAnnounce(src.ID(), []outItem{{tx: tx}})
+	nd.deliverAnnounce(src.ID(), []outItem{{tx: tx}})
 	net.RunFor(5)
 	if got := net.MsgCounts()["request"]; got != 1 {
 		t.Fatalf("requests after duplicate announce = %d, want 1", got)
@@ -286,5 +288,200 @@ func BenchmarkGossipFloodLegacy(b *testing.B) {
 		tx := types.NewTransaction(types.AddressFromUint64(uint64(1000+i)), types.AddressFromUint64(2), 0, types.Gwei, 0)
 		net.Node(ids[i%len(ids)]).SubmitLocal(tx)
 		net.RunFor(2)
+	}
+}
+
+// refFlush is the per-peer copy fan-out that the shared gossip batch
+// replaced, kept as the reference model: every message gets its own filtered
+// copy of the out-queue in a slot-owned buffer, and an empty copy frees its
+// slot again.
+func refFlush(nd *Node) {
+	nd.flushScheduled = false
+	net := nd.net
+	q := nd.outQ
+	peers := nd.peersSeg()
+	pushCount := len(peers)
+	if !nd.cfg.LegacyPushAll {
+		pushCount = int(math.Ceil(math.Sqrt(float64(len(peers)))))
+	}
+	for i, pi := range net.eng.Perm(len(peers)) {
+		peer := peers[pi]
+		kind := msgAnnounce
+		if i < pushCount {
+			kind = msgTxs
+		}
+		mi := net.msgTo(kind, nd.id, peer)
+		if mi < 0 {
+			continue
+		}
+		view := net.msgs[mi].items[:0]
+		for _, it := range q {
+			if it.exclude != peer {
+				view = append(view, outItem{tx: it.tx})
+			}
+		}
+		net.msgs[mi].items = view
+		if len(view) == 0 {
+			net.freeMsg(mi)
+			continue
+		}
+		net.route(mi)
+	}
+	nd.outQ = q[:0]
+}
+
+// fanoutNet builds a hub with nine peers (three pushed, six announced to)
+// and a scrambled message free list, so slot reuse order is exercised.
+func fanoutNet(legacy bool) (*Network, *Node, []types.NodeID) {
+	net := testNet(21)
+	hub := net.AddNode(NodeConfig{Policy: txpool.Geth.WithCapacity(64), MaxPeers: 50, LegacyPushAll: legacy})
+	peers := addNodes(net, 9, 64)
+	for _, p := range peers {
+		_ = net.Connect(hub.id, p)
+	}
+	slots := make([]int32, 5)
+	for i := range slots {
+		slots[i] = net.msgTo(msgTxs, hub.id, peers[0])
+	}
+	for _, i := range []int{3, 0, 4, 1, 2} {
+		net.freeMsg(slots[i])
+	}
+	return net, hub, peers
+}
+
+// TestFlushSharedBatchMatchesPerPeerCopy checks the shared-batch fan-out
+// against the per-peer copy it replaced, on twin networks: the same slots
+// allocated and freed in the same order, each live message's receiver view
+// equal to the old filtered copy, the same engine state, and after delivery
+// the same message tallies and pool contents. Every batch must be back on
+// the free list, cleared, once its messages are delivered.
+func TestFlushSharedBatchMatchesPerPeerCopy(t *testing.T) {
+	txs := make([]*types.Transaction, 12)
+	for i := range txs {
+		txs[i] = types.NewTransaction(types.AddressFromUint64(uint64(100+i)), types.AddressFromUint64(9), 0, types.Gwei, 0)
+	}
+	cases := []struct {
+		name    string
+		legacy  bool
+		exclude func(i int, hub types.NodeID, peers []types.NodeID) types.NodeID
+	}{
+		{"mixed", false, func(i int, hub types.NodeID, peers []types.NodeID) types.NodeID {
+			return []types.NodeID{peers[0], peers[3], hub, peers[7]}[i%4]
+		}},
+		{"all-same-peer", false, func(_ int, _ types.NodeID, peers []types.NodeID) types.NodeID { return peers[2] }},
+		{"all-local", false, func(_ int, hub types.NodeID, _ []types.NodeID) types.NodeID { return hub }},
+		{"legacy-all-same-peer", true, func(_ int, _ types.NodeID, peers []types.NodeID) types.NodeID { return peers[5] }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, gotHub, peers := fanoutNet(c.legacy)
+			want, wantHub, _ := fanoutNet(c.legacy)
+			for i, tx := range txs {
+				ex := c.exclude(i, gotHub.id, peers)
+				gotHub.outQ = append(gotHub.outQ, outItem{tx: tx, exclude: ex})
+				wantHub.outQ = append(wantHub.outQ, outItem{tx: tx, exclude: ex})
+			}
+			gotHub.flush()
+			refFlush(wantHub)
+
+			if len(got.msgs) != len(want.msgs) || !reflect.DeepEqual(got.msgFree, want.msgFree) {
+				t.Fatalf("arena: %d slots free %v, want %d slots free %v", len(got.msgs), got.msgFree, len(want.msgs), want.msgFree)
+			}
+			live := 0
+			for i := range got.msgs {
+				g, w := &got.msgs[i], &want.msgs[i]
+				if (g.dst == nil) != (w.dst == nil) {
+					t.Fatalf("slot %d: live=%v, want %v", i, g.dst != nil, w.dst != nil)
+				}
+				if g.dst == nil {
+					continue
+				}
+				live++
+				if g.kind != w.kind || g.from != w.from || g.dst.id != w.dst.id || g.sent != w.sent {
+					t.Fatalf("slot %d: %v %v->%v at %v, want %v %v->%v at %v",
+						i, g.kind, g.from, g.dst.id, g.sent, w.kind, w.from, w.dst.id, w.sent)
+				}
+				var view []*types.Transaction
+				for _, it := range g.view() {
+					if it.exclude != g.dst.id {
+						view = append(view, it.tx)
+					}
+				}
+				var ref []*types.Transaction
+				for _, it := range w.items {
+					ref = append(ref, it.tx)
+				}
+				if !reflect.DeepEqual(view, ref) {
+					t.Fatalf("slot %d (%v to %v): view of %d txs, want the %d-tx copy", i, g.kind, g.dst.id, len(view), len(ref))
+				}
+			}
+			if live == 0 {
+				t.Fatal("flush sent nothing")
+			}
+			if got.eng.Pending() != want.eng.Pending() || got.eng.SeqCount() != want.eng.SeqCount() ||
+				got.eng.RandDraws() != want.eng.RandDraws() {
+				t.Fatal("engine state diverged from the per-peer copy")
+			}
+
+			got.RunFor(5)
+			want.RunFor(5)
+			if !reflect.DeepEqual(got.MsgCounts(), want.MsgCounts()) {
+				t.Fatalf("tallies %v, want %v", got.MsgCounts(), want.MsgCounts())
+			}
+			for i, nd := range got.nodes {
+				if g, w := poolHashes(nd), poolHashes(want.nodes[i]); !reflect.DeepEqual(g, w) {
+					t.Fatalf("node %v pool %v, want %v", nd.id, g, w)
+				}
+			}
+			if len(got.batchFree) == 0 {
+				t.Fatal("no batch returned to the free list")
+			}
+			for _, b := range got.batchFree {
+				if b.refs != 0 || len(b.items) != 0 || (cap(b.items) > 0 && b.items[:1][0].tx != nil) {
+					t.Fatalf("recycled batch not released and cleared: refs=%d len=%d", b.refs, len(b.items))
+				}
+			}
+		})
+	}
+}
+
+func poolHashes(nd *Node) []types.Hash {
+	var out []types.Hash
+	for _, tx := range nd.Pool().Content() {
+		out = append(out, tx.Hash())
+	}
+	return out
+}
+
+// BenchmarkFlushFanout measures one flush of a 500-item out-queue to 40
+// peers: the per-op cost of the gossip fan-out itself, with deliveries
+// dropped (the peers are unresponsive) so the receivers' mempools stay out
+// of the measurement. B/op and allocs/op show what the fan-out copies.
+func BenchmarkFlushFanout(b *testing.B) {
+	net := testNet(9)
+	hub := net.AddNode(DefaultNodeConfig())
+	peers := make([]types.NodeID, 40)
+	for i := range peers {
+		peers[i] = net.AddNode(NodeConfig{Policy: txpool.Geth, MaxPeers: 50, Unresponsive: true}).ID()
+		_ = net.Connect(hub.id, peers[i])
+	}
+	q := make([]outItem, 500)
+	for i := range q {
+		tx := types.NewTransaction(types.AddressFromUint64(uint64(i+1)), types.AddressFromUint64(2), 0, types.Gwei, 0)
+		tx.Hash() // memoize outside the timed loop
+		q[i] = outItem{tx: tx, exclude: peers[i%len(peers)]}
+	}
+	fill := func() {
+		hub.outQ = append(hub.outQ[:0], q...)
+		hub.flush()
+		net.Run(1 << 30)
+	}
+	for i := 0; i < 4; i++ {
+		fill() // grow the arena, event queue and buffers to steady state
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
 	}
 }

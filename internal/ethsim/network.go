@@ -154,19 +154,43 @@ const (
 )
 
 // netMsg is one pooled in-flight message: kind, payload, and destination.
-// Slots live in Network.msgs and recycle through Network.msgFree; their
-// payload slices keep capacity across reuse, so a steady gossip flood sends
-// without allocating. Buffers may retain transaction pointers until the slot
-// is next reused — bounded by the peak in-flight message count.
+// Slots live in Network.msgs and recycle through Network.msgFree. A gossip
+// push or announcement reads its flush's shared gossipBatch; inject, request
+// and reply payloads are slot-owned buffers that keep their capacity across
+// reuse (and may retain transaction pointers until the slot is reused). A
+// receiver skips the payload items whose exclude is its own id; slot-owned
+// items carry exclude 0, which no node has.
 type netMsg struct {
 	kind msgKind
 	from types.NodeID
 	dst  *Node
 	sent float64
-	// txs carries full transactions (msgTxs, msgInject).
-	txs []*types.Transaction
-	// hashes carries announcement/request hash lists (msgAnnounce, msgRequest).
-	hashes []types.Hash
+	// items is the slot-owned payload (msgInject, msgRequest, and msgTxs
+	// replies to a request); unused while batch is set.
+	items []outItem
+	// batch is the shared flush batch a gossip push or announcement reads
+	// (nil for slot-owned payloads). The message holds one reference.
+	batch *gossipBatch
+}
+
+// view returns the message's payload: the shared flush batch when set, else
+// the slot-owned items. Receivers filter it by exclude.
+func (m *netMsg) view() []outItem {
+	if m.batch != nil {
+		return m.batch.items
+	}
+	return m.items
+}
+
+// gossipBatch is one flush's out-queue, handed whole to the network and
+// shared read-only by every push and announce message of that flush instead
+// of being copied per peer. refs counts the messages still holding it (plus
+// the flush itself while it fans out); at zero the batch returns to the
+// network's free list, its buffer cleared so recycled capacity pins no
+// transactions.
+type gossipBatch struct {
+	items []outItem
+	refs  int32
 }
 
 // Network is a simulated Ethereum overlay.
@@ -202,6 +226,11 @@ type Network struct {
 	msgs    []netMsg
 	msgFree []int32
 
+	// batchFree recycles released gossip batches; a flush trades its
+	// out-queue for a recycled batch's empty buffer, so the node's queue
+	// capacity and the batch pool together track the peak in-flight flushes.
+	batchFree []*gossipBatch
+
 	// msgTally counts delivered messages per kind — a fixed array instead of
 	// the former string-keyed map, which cost a hash per delivery at scale.
 	// MsgCounts materializes the legacy map shape for snapshots.
@@ -228,6 +257,9 @@ type Network struct {
 	// supers registers every supernode attached to this network, in creation
 	// order (checkpoint restore re-binds their observation hooks).
 	supers []*Supernode
+	// watch is the set of transaction hashes every supernode keeps receipts
+	// for (Supernode.Watch).
+	watch map[types.Hash]struct{}
 
 	nextID types.NodeID
 
@@ -313,6 +345,7 @@ func NewNetwork(cfg Config) *Network {
 		cfg:          cfg,
 		eng:          eng,
 		overflowMark: make(map[uint64]float64),
+		watch:        make(map[types.Hash]struct{}),
 	}
 	if r := metrics.Enabled(); r != nil {
 		n.SetMetrics(r)
@@ -456,14 +489,43 @@ func (n *Network) msgTo(kind msgKind, from, to types.NodeID) int32 {
 	return i
 }
 
-// freeMsg releases a message slot back to the pool, keeping its payload
-// buffers' capacity for the next sender.
+// freeMsg releases a message slot back to the pool, dropping its batch
+// reference and keeping its slot-owned buffer's capacity for the next sender.
 func (n *Network) freeMsg(i int32) {
 	m := &n.msgs[i]
 	m.dst = nil
-	m.txs = m.txs[:0]
-	m.hashes = m.hashes[:0]
+	m.items = m.items[:0]
+	if m.batch != nil {
+		n.releaseBatch(m.batch)
+		m.batch = nil
+	}
 	n.msgFree = append(n.msgFree, i)
+}
+
+// takeBatch returns a gossip batch holding q with one reference (the
+// caller's), plus an empty recycled buffer to replace q as the caller's
+// out-queue.
+func (n *Network) takeBatch(q []outItem) (*gossipBatch, []outItem) {
+	var b *gossipBatch
+	if k := len(n.batchFree); k > 0 {
+		b = n.batchFree[k-1]
+		n.batchFree = n.batchFree[:k-1]
+	} else {
+		b = &gossipBatch{}
+	}
+	spare := b.items
+	b.items, b.refs = q, 1
+	return b, spare
+}
+
+// releaseBatch drops one reference to b, recycling it at zero.
+func (n *Network) releaseBatch(b *gossipBatch) {
+	if b.refs--; b.refs > 0 {
+		return
+	}
+	clear(b.items)
+	b.items = b.items[:0]
+	n.batchFree = append(n.batchFree, b)
 }
 
 // route samples link latency for the filled message slot i, applies the
@@ -539,29 +601,41 @@ func (n *Network) handleMsg(i int32) {
 		return
 	}
 	// Copy the header out: delivery below can send new messages, growing
-	// n.msgs and invalidating pointers into it. Slice headers and the dst
-	// pointer stay valid across that growth; the slot itself is not reused
-	// until freeMsg below.
+	// n.msgs and invalidating pointers into it. Slice headers, the batch and
+	// the dst pointer stay valid across that growth; the slot itself (and
+	// its batch reference) is not released until freeMsg below.
 	m := n.msgs[i]
 	if !m.dst.cfg.Unresponsive {
+		items := m.view()
 		n.msgTally[m.kind]++
 		n.metrics.msgCounter(m.kind).Inc()
 		n.metrics.deliveryLatency.Observe(n.eng.Now() - m.sent) // effective one-hop delay
 		if n.traceEngine {
 			n.tracer.Event(evMsgDeliver, trace.String(attrKind, m.kind.String()),
 				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)),
-				trace.Int(attrN, int64(len(m.txs)+len(m.hashes))))
+				trace.Int(attrN, int64(viewLen(items, m.dst.id))))
 		}
 		switch m.kind {
 		case msgTxs:
-			m.dst.deliverTxs(m.from, m.txs)
+			m.dst.deliverTxs(m.from, items)
 		case msgAnnounce:
-			m.dst.deliverAnnounce(m.from, m.hashes)
+			m.dst.deliverAnnounce(m.from, items)
 		case msgRequest:
-			m.dst.deliverRequest(m.from, m.hashes)
+			m.dst.deliverRequest(m.from, items)
 		}
 	}
 	n.freeMsg(i)
+}
+
+// viewLen counts the items of a payload that receiver self sees.
+func viewLen(items []outItem, self types.NodeID) int {
+	c := 0
+	for _, it := range items {
+		if it.exclude != self {
+			c++
+		}
+	}
+	return c
 }
 
 // Run advances the simulation until the event queue drains or the budget is

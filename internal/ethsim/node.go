@@ -265,12 +265,17 @@ func (nd *Node) SubmitLocal(tx *types.Transaction) txpool.Result {
 	return res
 }
 
-// deliverTxs handles a Transactions message from peer `from`. Transactions
-// arriving in one message propagate onward as one batched message per peer,
-// matching devp2p's batched Transactions frames.
-func (nd *Node) deliverTxs(from types.NodeID, txs []*types.Transaction) {
+// deliverTxs handles a Transactions message from peer `from`, skipping the
+// payload items excluded for this node. Transactions arriving in one message
+// propagate onward as one batched message per peer, matching devp2p's
+// batched Transactions frames.
+func (nd *Node) deliverTxs(from types.NodeID, items []outItem) {
 	out := nd.scratchOut[:0]
-	for _, tx := range txs {
+	for _, it := range items {
+		if it.exclude == nd.id {
+			continue
+		}
+		tx := it.tx
 		rcpt := TxReceipt{From: from, Tx: tx, At: nd.net.Now()}
 		if nd.OnTxDelivered != nil {
 			nd.OnTxDelivered(rcpt)
@@ -328,7 +333,9 @@ func (nd *Node) appendPropagatable(out []*types.Transaction, tx *types.Transacti
 	return append(out, res.Promoted...)
 }
 
-// outItem is one queued gossip transaction with its arrival peer.
+// outItem is one queued gossip transaction with its arrival peer, the one
+// peer it is never sent back to. It is also the in-flight payload element:
+// a receiver whose id equals exclude skips the item.
 type outItem struct {
 	tx      *types.Transaction
 	exclude types.NodeID
@@ -358,9 +365,12 @@ func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 
 // flush drains the out-queue: direct push to ⌈√peers⌉ random peers and
 // announcement to the rest (Geth ≥ 1.9.11), or push to all under
-// LegacyPushAll, never sending a transaction back where it came from.
-// Per-peer batches are built directly into pooled message buffers, so a
-// steady gossip flood allocates nothing here.
+// LegacyPushAll, never sending a transaction back where it came from. The
+// queue becomes one shared gossip batch that every message of the flush
+// points at (receivers skip their own excluded items), and the node takes a
+// recycled buffer as its next queue — so a flush copies nothing per peer.
+// A peer gets no message only when its view is empty: every item shares one
+// exclude and that is the peer.
 func (nd *Node) flush() {
 	nd.flushScheduled = false
 	q := nd.outQ
@@ -376,61 +386,60 @@ func (nd *Node) flush() {
 	if !nd.cfg.LegacyPushAll {
 		pushCount = int(math.Ceil(math.Sqrt(float64(len(peers)))))
 	}
+	// onlyExcluded is the single peer whose view is empty, or 0 when the
+	// queue mixes arrival peers (every view is then non-empty).
+	onlyExcluded := q[0].exclude
+	for _, it := range q[1:] {
+		if it.exclude != onlyExcluded {
+			onlyExcluded = 0
+			break
+		}
+	}
 	net := nd.net
+	batch, spare := net.takeBatch(q)
+	nd.outQ = spare
 	perm := net.eng.Perm(len(peers))
 	for i, pi := range perm {
 		peer := peers[pi]
+		kind := msgAnnounce
 		if i < pushCount {
-			mi := net.msgTo(msgTxs, nd.id, peer)
-			if mi < 0 {
-				continue
-			}
-			batch := net.msgs[mi].txs[:0]
-			for _, it := range q {
-				if it.exclude != peer {
-					batch = append(batch, it.tx)
-				}
-			}
-			net.msgs[mi].txs = batch
-			if len(batch) == 0 {
-				net.freeMsg(mi)
-				continue
-			}
-			net.route(mi)
-		} else {
-			mi := net.msgTo(msgAnnounce, nd.id, peer)
-			if mi < 0 {
-				continue
-			}
-			hashes := net.msgs[mi].hashes[:0]
-			for _, it := range q {
-				if it.exclude != peer {
-					hashes = append(hashes, it.tx.Hash())
-				}
-			}
-			net.msgs[mi].hashes = hashes
-			if len(hashes) == 0 {
-				net.freeMsg(mi)
-				continue
-			}
-			net.route(mi)
+			kind = msgTxs
 		}
+		// Allocate before the emptiness check: slot reuse order feeds
+		// scheduling, so an empty view still takes and frees its slot.
+		mi := net.msgTo(kind, nd.id, peer)
+		if mi < 0 {
+			continue
+		}
+		if peer == onlyExcluded {
+			net.freeMsg(mi)
+			continue
+		}
+		batch.refs++
+		net.msgs[mi].batch = batch
+		net.route(mi)
 	}
-	nd.outQ = q[:0] // recycle the drained queue for the next window
+	net.releaseBatch(batch)
 }
 
-// deliverAnnounce handles an announcement: unknown, unlocked hashes are
-// requested back from the announcer and locked for the AnnounceLock window.
-// The request's hash list is built directly into a pooled message buffer.
-func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash) {
+// deliverAnnounce handles an announcement, skipping the payload items
+// excluded for this node: unknown, unlocked transactions are requested back
+// from the announcer and locked for the AnnounceLock window. The hash is
+// read only here, where it is observed; the request carries the
+// transactions themselves in a pooled message buffer.
+func (nd *Node) deliverAnnounce(from types.NodeID, items []outItem) {
 	net := nd.net
 	now := net.Now()
 	mi := net.msgTo(msgRequest, nd.id, from)
-	var want []types.Hash
+	var want []outItem
 	if mi >= 0 {
-		want = net.msgs[mi].hashes[:0]
+		want = net.msgs[mi].items[:0]
 	}
-	for _, h := range hashes {
+	for _, it := range items {
+		if it.exclude == nd.id {
+			continue
+		}
+		h := it.tx.Hash()
 		if nd.OnHashAnnounced != nil {
 			nd.OnHashAnnounced(from, h, now)
 		}
@@ -444,13 +453,13 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash) {
 		until := now + net.cfg.AnnounceLock
 		nd.armAnnounceLock(h, until)
 		if mi >= 0 {
-			want = append(want, h)
+			want = append(want, outItem{tx: it.tx})
 		}
 	}
 	if mi < 0 {
 		return
 	}
-	net.msgs[mi].hashes = want
+	net.msgs[mi].items = want
 	if len(want) == 0 {
 		net.freeMsg(mi)
 		return
@@ -471,21 +480,21 @@ func (nd *Node) armAnnounceLock(h types.Hash, until float64) {
 }
 
 // deliverRequest answers a GetPooledTransactions request with whatever of
-// the asked hashes is still buffered, assembling the reply in a pooled
+// the asked transactions is still buffered, assembling the reply in a pooled
 // message buffer.
-func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash) {
+func (nd *Node) deliverRequest(from types.NodeID, items []outItem) {
 	net := nd.net
 	mi := net.msgTo(msgTxs, nd.id, from)
 	if mi < 0 {
 		return
 	}
-	reply := net.msgs[mi].txs[:0]
-	for _, h := range hashes {
-		if tx := nd.pool.Get(h); tx != nil {
-			reply = append(reply, tx)
+	reply := net.msgs[mi].items[:0]
+	for _, it := range items {
+		if tx := nd.pool.Get(it.tx.Hash()); tx != nil {
+			reply = append(reply, outItem{tx: tx})
 		}
 	}
-	net.msgs[mi].txs = reply
+	net.msgs[mi].items = reply
 	if len(reply) == 0 {
 		net.freeMsg(mi)
 		return

@@ -8,10 +8,11 @@ import (
 )
 
 // Supernode is the instrumented measurement node M: it connects to every
-// node, records every transaction delivery with its source peer, never
-// relays anything, and can inject arbitrary transactions — including future
-// transactions, which a stock client would refuse to propagate — to chosen
-// peers. This mirrors the paper's statically instrumented Geth client (§5.1).
+// node, records the deliveries and announcements of watched transactions
+// with their source peers, never relays anything, and can inject arbitrary
+// transactions — including future transactions, which a stock client would
+// refuse to propagate — to chosen peers. This mirrors the paper's statically
+// instrumented Geth client (§5.1).
 type Supernode struct {
 	node *Node
 	net  *Network
@@ -19,6 +20,10 @@ type Supernode struct {
 	// sendCursor serializes outgoing injections on the supernode's uplink.
 	sendCursor float64
 
+	// byHash and announced are the receipt logs, kept only for hashes in the
+	// network's watch set (see Watch): every observation query asks about a
+	// transaction a measurement injected, so logging all traffic would only
+	// grow the logs without bound.
 	byHash    map[types.Hash][]TxReceipt
 	announced map[types.Hash][]TxReceipt
 
@@ -57,13 +62,24 @@ func NewSupernode(net *Network) *Supernode {
 func (s *Supernode) bindHooks() {
 	s.node.OnTxDelivered = func(r TxReceipt) {
 		h := r.Tx.Hash()
-		s.byHash[h] = append(s.byHash[h], r)
+		if _, ok := s.net.watch[h]; ok {
+			s.byHash[h] = append(s.byHash[h], r)
+		}
 		s.shadow.Offer(r.Tx)
 	}
 	s.node.OnHashAnnounced = func(from types.NodeID, h types.Hash, at float64) {
-		s.announced[h] = append(s.announced[h], TxReceipt{From: from, At: at})
+		if _, ok := s.net.watch[h]; ok {
+			s.announced[h] = append(s.announced[h], TxReceipt{From: from, At: at})
+		}
 	}
 }
+
+// Watch marks a transaction hash for observation on every supernode of the
+// network: from now on their receipt logs record its deliveries and
+// announcements. A measurement calls it before injecting the transaction it
+// will later query (Observations, ObservedFrom, VerdictFor, PossessionTimes
+// and the like see nothing of an unwatched hash).
+func (s *Supernode) Watch(h types.Hash) { s.net.watch[h] = struct{}{} }
 
 // Supernodes returns the supernodes attached to the network, in creation
 // order.
@@ -136,7 +152,11 @@ func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) {
 		// without a closure or batch copy per message.
 		if mi := s.net.msgTo(msgInject, src, to); mi >= 0 {
 			m := &s.net.msgs[mi]
-			m.txs = append(m.txs[:0], txs[:n]...)
+			items := m.items[:0]
+			for _, tx := range txs[:n] {
+				items = append(items, outItem{tx: tx})
+			}
+			m.items = items
 			s.net.eng.AtHandler(at, s.net, uint64(mi))
 		}
 		txs = txs[n:]
@@ -151,7 +171,7 @@ func (s *Supernode) DrainTime() float64 {
 	return s.net.Now()
 }
 
-// Observations returns the receipts recorded for a transaction hash.
+// Observations returns the receipts recorded for a watched transaction hash.
 func (s *Supernode) Observations(h types.Hash) []TxReceipt {
 	return s.byHash[h]
 }

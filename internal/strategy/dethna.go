@@ -104,6 +104,7 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 		sender := d.mint.fresh()
 		mark := types.NewTransaction(sender, d.mint.fresh(), 0, d.Price, 0)
 		checkFrom := d.net.Now()
+		d.super.Watch(mark.Hash())
 		d.super.Inject(a, mark)
 		d.pending++
 		d.net.RunFor(d.Settle)

@@ -93,6 +93,7 @@ func (e *Ethna) sweep() {
 		sender := e.mint.fresh()
 		tx := types.NewTransaction(sender, e.mint.fresh(), 0, e.Price, 0)
 		checkFrom := e.net.Now()
+		e.super.Watch(tx.Hash())
 		// Rotate the entry node so no peer is systematically the silent
 		// origin (a node never relays back to the peer it received from, so
 		// the entry contributes no evidence for its own sample).

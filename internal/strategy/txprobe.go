@@ -63,6 +63,7 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	// The marker transaction: child of tx1, sent to A only.
 	txA := types.NewTransaction(sender, p.mint.fresh(), 1, p.Price, 0)
 	checkFrom := p.net.Now()
+	p.super.Watch(txA.Hash())
 	p.super.Inject(a, txA)
 	p.pending++
 	p.net.RunFor(p.Settle)
